@@ -15,6 +15,7 @@ from repro.hypergraph import Hypergraph, bisect_hypergraph
 from repro.lu import (
     SupernodalLower,
     blocked_triangular_solve,
+    factor_etree,
     factorize,
     partition_columns,
     solution_pattern,
@@ -23,8 +24,11 @@ from repro.matrices import generate
 from repro.ordering import (
     elimination_tree,
     minimum_degree,
+    postorder,
     reverse_cuthill_mckee,
 )
+from repro.solver import PDSLin, PDSLinConfig
+from repro.sparse import symmetrized
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +36,54 @@ def cavity(scale):
     return generate("tdr190k", "tiny" if scale == "tiny" else "small")
 
 
+@pytest.fixture(scope="module")
+def cavity_setup(cavity):
+    """A k=4 set-up of the cavity matrix: real subdomain factors,
+    interface blocks and S~ for the symbolic set-up kernels."""
+    solver = PDSLin(cavity.A, PDSLinConfig(k=4), M=cavity.M)
+    solver.setup()
+    return solver
+
+
+@pytest.fixture(scope="module")
+def subdomain_factor(cavity_setup):
+    """(L, P E^) of the largest subdomain, in factored row positions."""
+    sd = max(cavity_setup.subdomains, key=lambda sd: sd.factors.n)
+    Epp = sd.factors.permute_rows(sd.interfaces.E_hat[sd.perm].tocsr())
+    return sd.factors.L, Epp
+
+
 def test_kernel_etree(benchmark, cavity):
-    from repro.sparse import symmetrized
     A = symmetrized(cavity.A)
     benchmark(elimination_tree, A)
+
+
+def test_kernel_postorder(benchmark, cavity):
+    parent = elimination_tree(symmetrized(cavity.A))
+    benchmark(postorder, parent)
+
+
+def test_kernel_factor_etree(benchmark, subdomain_factor):
+    L, _ = subdomain_factor
+    benchmark(factor_etree, L)
+
+
+def test_kernel_solution_pattern_etree(benchmark, subdomain_factor):
+    L, Epp = subdomain_factor
+    benchmark(solution_pattern, L, Epp, method="etree")
+
+
+def test_kernel_supernodal_repack(benchmark, subdomain_factor):
+    """detect_supernodes + dense-block scatter."""
+    L, _ = subdomain_factor
+    benchmark(SupernodalLower.from_csc, L, unit_diagonal=True)
+
+
+def test_kernel_minimum_degree_schur(benchmark, cavity_setup):
+    """The dense-ish case: S~ is one clique per separator block, where
+    the subdomain matrices are mesh-sparse."""
+    benchmark.pedantic(minimum_degree, args=(cavity_setup.S_tilde,),
+                       rounds=3, iterations=1)
 
 
 def test_kernel_minimum_degree(benchmark, cavity):

@@ -85,21 +85,22 @@ def detect_supernodes(L: sp.spmatrix, *, max_size: int = 64) -> list[tuple[int, 
     n = L.shape[1]
     if n == 0:
         return []
-    snodes: list[tuple[int, int]] = []
-    start = 0
-    prev_rows = L.indices[L.indptr[0]:L.indptr[1]]
-    for j in range(1, n):
-        rows = L.indices[L.indptr[j]:L.indptr[j + 1]]
-        joined = False
-        if j - start < max_size and prev_rows.size == rows.size + 1:
-            if np.array_equal(prev_rows[1:], rows):
-                joined = True
-        if not joined:
-            snodes.append((start, j))
-            start = j
-        prev_rows = rows
-    snodes.append((start, n))
-    return snodes
+    indptr, indices = L.indptr, L.indices
+    count = np.diff(indptr)
+    col = np.repeat(np.arange(n), count)
+    # column j can follow j-1 iff it has one entry fewer and entry t of
+    # j equals entry t+1 of j-1, which then sits ``count[j]`` slots back
+    follows = np.zeros(n, dtype=bool)
+    follows[1:] = count[:-1] == count[1:] + 1
+    entry = np.flatnonzero(follows[col])
+    differs = indices[entry] != indices[entry - count[col[entry]]]
+    follows[col[entry[differs]]] = False
+    # runs of followers hang off the last non-follower and are cut every
+    # ``max_size`` columns (below 1: every column alone)
+    j = np.arange(n)
+    run_start = np.maximum.accumulate(np.where(follows, 0, j))
+    bounds = np.flatnonzero((j - run_start) % max(max_size, 1) == 0).tolist()
+    return list(zip(bounds, bounds[1:] + [n]))
 
 
 @dataclass
@@ -146,34 +147,33 @@ class SupernodalLower:
             snodes = detect_supernodes(L, max_size=max_supernode)
         else:
             _check_ranges(snodes, n)
+        indptr, indices, data = L.indptr, L.indices, L.data
+        count = np.diff(indptr)
+        stored = np.flatnonzero(count)
+        leads = np.zeros(L.shape[1], dtype=bool)
+        leads[stored] = indices[indptr[stored]] == stored
+        if not leads.all():
+            raise ValueError(f"column {np.flatnonzero(~leads)[0]} must "
+                             f"store its diagonal entry")
+        col = np.repeat(np.arange(L.shape[1]), count)
         diag_blocks: list[np.ndarray] = []
         below_rows: list[np.ndarray] = []
         below_blocks: list[np.ndarray] = []
         for c0, c1 in snodes:
             w = c1 - c0
-            # union of below-block rows over the range's columns
-            pieces = [L.indices[L.indptr[c]:L.indptr[c + 1]]
-                      for c in range(c0, c1)]
-            for c in range(c0, c1):
-                rr = pieces[c - c0]
-                if rr.size == 0 or rr[0] != c:
-                    raise ValueError(
-                        f"column {c} must store its diagonal entry")
-            allrows = np.unique(np.concatenate(pieces))
-            below = allrows[allrows >= c1]
-            slot = {int(r): i for i, r in enumerate(below)}
+            entries = slice(indptr[c0], indptr[c1])
+            rr, vv, tt = indices[entries], data[entries], col[entries] - c0
+            in_block = rr < c1
             D = np.zeros((w, w))
-            Bm = np.zeros((below.size, w))
-            for t in range(w):
-                col = c0 + t
-                rr = pieces[t]
-                vv = L.data[L.indptr[col]:L.indptr[col + 1]]
-                in_block = rr < c1
-                D[rr[in_block] - c0, t] = vv[in_block]
-                for r, v in zip(rr[~in_block], vv[~in_block]):
-                    Bm[slot[int(r)], t] = v
+            D[rr[in_block] - c0, tt[in_block]] = vv[in_block]
             if unit_diagonal:
                 np.fill_diagonal(D, 1.0)
+            # union of below-block rows over the range's columns
+            rr_below = rr[~in_block]
+            below = np.unique(rr_below)
+            Bm = np.zeros((below.size, w))
+            Bm[np.searchsorted(below, rr_below), tt[~in_block]] = \
+                vv[~in_block]
             diag_blocks.append(D)
             below_rows.append(below.astype(np.int64))
             below_blocks.append(Bm)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.ordering.etree import _climb, _liu_parent
 from repro.utils import as_int_array, check_csc
 
 __all__ = ["reach", "solution_pattern", "toposorted_reach", "factor_etree"]
@@ -40,23 +41,7 @@ def factor_etree(L: sp.spmatrix) -> np.ndarray:
     rows in increasing order, climbing with path compression and
     grafting every terminating subtree under the current row.
     """
-    L = check_csc(L)
-    n = L.shape[0]
-    Lr = sp.tril(L, -1, format="csr")
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    indptr, indices = Lr.indptr, Lr.indices
-    for i in range(n):
-        for j in indices[indptr[i]:indptr[i + 1]].tolist():
-            r = j
-            while ancestor[r] != -1 and ancestor[r] != i:
-                t = ancestor[r]
-                ancestor[r] = i  # path compression
-                r = t
-            if ancestor[r] == -1:
-                ancestor[r] = i
-                parent[r] = i
-    return parent
+    return _liu_parent(check_csc(L))
 
 
 def _dfs_reach(indptr: np.ndarray, indices: np.ndarray, support: np.ndarray,
@@ -137,17 +122,11 @@ def solution_pattern(L: sp.spmatrix, B: sp.spmatrix, *,
     rows: list[np.ndarray] = []
     if method == "etree":
         parent = factor_etree(L).tolist()
-        mark = np.full(n, -1, dtype=np.int64)
+        mark = [-1] * n
         for j in range(m):
-            out: list[int] = []
-            for s in Bc.indices[Bc.indptr[j]:Bc.indptr[j + 1]].tolist():
-                v = s
-                while v >= 0 and mark[v] != j:
-                    mark[v] = j
-                    out.append(v)
-                    v = parent[v]
-            out.sort()
-            r = np.asarray(out, dtype=np.int64)
+            supp = Bc.indices[Bc.indptr[j]:Bc.indptr[j + 1]].tolist()
+            r = np.array(_climb(parent, supp, mark, j), dtype=np.int64)
+            r.sort()
             rows.append(r)
             col_ptr.append(col_ptr[-1] + r.size)
     else:

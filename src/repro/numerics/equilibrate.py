@@ -32,11 +32,12 @@ __all__ = ["EquilibrationResult", "ruiz_equilibrate", "scaling_quality"]
 def _row_abs_max(A: sp.csr_matrix) -> np.ndarray:
     """Per-row max |a_ij| (0 for empty rows)."""
     out = np.zeros(A.shape[0])
-    absdata = np.abs(A.data)
-    for i in range(A.shape[0]):
-        lo, hi = A.indptr[i], A.indptr[i + 1]
-        if hi > lo:
-            out[i] = absdata[lo:hi].max()
+    rows = np.flatnonzero(np.diff(A.indptr))
+    if rows.size:
+        # segments start at each stored row and run to the next one's
+        # start: the empty rows in between contribute no entries
+        out[rows] = np.maximum.reduceat(np.abs(A.data[:A.indptr[-1]]),
+                                        A.indptr[rows])
     return out
 
 

@@ -28,6 +28,38 @@ __all__ = [
 ]
 
 
+def _liu_parent(A: sp.spmatrix) -> np.ndarray:
+    """Liu's e-tree algorithm over the strict lower triangle of ``A``:
+    rows in increasing order, climbing from every entry ``(i, j)``,
+    ``j < i``, to the root of ``j``'s current subtree (compressing the
+    path onto ``i``) and grafting that root under ``i``.
+    O(nnz * alpha).
+
+    The one implementation behind :func:`elimination_tree` and
+    :func:`repro.lu.factor_etree`. The loop is inherently sequential,
+    so it runs on plain lists: per-element indexing of a numpy array
+    boxes a scalar on every access and is several times slower.
+    """
+    n = A.shape[0]
+    lower = sp.tril(A, -1, format="csr")
+    ptr, cols = lower.indptr.tolist(), lower.indices
+    parent = [-1] * n
+    ancestor = [-1] * n
+    for i in range(n):
+        # one row at a time: a list of the whole pattern would cost
+        # several times the matrix in transient memory
+        for r in cols[ptr[i]:ptr[i + 1]].tolist():
+            a = ancestor[r]
+            while a != -1 and a != i:
+                ancestor[r] = i  # path compression
+                r = a
+                a = ancestor[r]
+            if a == -1:
+                ancestor[r] = i
+                parent[r] = i
+    return np.array(parent, dtype=np.int64)
+
+
 def elimination_tree(A: sp.spmatrix) -> np.ndarray:
     """Parent array of the elimination tree of symmetric-pattern ``A``.
 
@@ -36,39 +68,25 @@ def elimination_tree(A: sp.spmatrix) -> np.ndarray:
     """
     A = check_csr(A)
     check_square(A)
-    n = A.shape[0]
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    indptr, indices = A.indptr, A.indices
-    for j in range(n):
-        for p in range(indptr[j], indptr[j + 1]):
-            i = indices[p]
-            if i >= j:
-                continue
-            # walk from i to the root of its current subtree, compressing
-            r = i
-            while True:
-                a = ancestor[r]
-                if a == -1 or a == j:
-                    break
-                ancestor[r] = j
-                r = a
-            if ancestor[r] == -1:
-                ancestor[r] = j
-                parent[r] = j
-    return parent
+    return _liu_parent(A)
+
+
+def _parent_list(parent: np.ndarray) -> list[int]:
+    """Validated parent array as a plain list (see :func:`_liu_parent`
+    for why the tree walks below run on lists)."""
+    parent = as_int_array(parent, "parent")
+    self_parent = np.flatnonzero(parent == np.arange(parent.size))
+    if self_parent.size:
+        raise ValueError(f"self-parent at node {self_parent[0]}")
+    return parent.tolist()
 
 
 def children_lists(parent: np.ndarray) -> list[list[int]]:
     """Children adjacency lists of an e-tree parent array, in index order."""
-    parent = as_int_array(parent, "parent")
-    n = parent.size
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        p = parent[v]
+    par = _parent_list(parent)
+    kids: list[list[int]] = [[] for _ in par]
+    for v, p in enumerate(par):
         if p >= 0:
-            if p == v:
-                raise ValueError(f"self-parent at node {v}")
             kids[p].append(v)
     return kids
 
@@ -81,27 +99,35 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     ending at its root. Children are visited in ascending original index
     for determinism.
     """
-    parent = as_int_array(parent, "parent")
-    n = parent.size
-    kids = children_lists(parent)
-    roots = [v for v in range(n) if parent[v] < 0]
-    order = np.empty(n, dtype=np.int64)
-    t = 0
-    # iterative DFS; push children reversed so lowest-index child pops first
-    for root in roots:
-        stack = [(root, False)]
+    par = _parent_list(parent)
+    n = len(par)
+    # children as linked lists (first_kid / next_sib), filled from the
+    # highest index down so each list reads in ascending order
+    first_kid = [-1] * n
+    next_sib = [-1] * n
+    for v in range(n - 1, -1, -1):
+        p = par[v]
+        if p >= 0:
+            next_sib[v] = first_kid[p]
+            first_kid[p] = v
+    order: list[int] = []
+    for root in range(n):
+        if par[root] >= 0:
+            continue
+        # iterative DFS: descend to the next unvisited child, emit a
+        # node once its child list is used up
+        stack = [root]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order[t] = node
-                t += 1
+            node = stack[-1]
+            kid = first_kid[node]
+            if kid == -1:
+                order.append(stack.pop())
             else:
-                stack.append((node, True))
-                for c in reversed(kids[node]):
-                    stack.append((c, False))
-    if t != n:
+                first_kid[node] = next_sib[kid]
+                stack.append(kid)
+    if len(order) != n:
         raise ValueError("parent array contains a cycle")
-    return order
+    return np.array(order, dtype=np.int64)
 
 
 def is_postordered(parent: np.ndarray) -> bool:
@@ -123,21 +149,20 @@ def is_postordered(parent: np.ndarray) -> bool:
 
 def tree_level(parent: np.ndarray) -> np.ndarray:
     """Depth of each node (roots at level 0)."""
-    parent = as_int_array(parent, "parent")
-    n = parent.size
-    level = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
+    par = as_int_array(parent, "parent").tolist()
+    level = [-1] * len(par)
+    for v in range(len(par)):
         # walk up collecting the path until a known level
         path = []
         u = v
         while u >= 0 and level[u] < 0:
             path.append(u)
-            u = parent[u]
+            u = par[u]
         base = level[u] if u >= 0 else -1
         for node in reversed(path):
             base += 1
             level[node] = base
-    return level
+    return np.array(level, dtype=np.int64)
 
 
 def first_descendants(parent: np.ndarray) -> np.ndarray:
@@ -146,21 +171,31 @@ def first_descendants(parent: np.ndarray) -> np.ndarray:
     Only meaningful as stated when nodes are postordered; for general
     numbering it still returns the minimum index in each subtree.
     """
-    parent = as_int_array(parent, "parent")
-    n = parent.size
-    fd = np.arange(n, dtype=np.int64)
-    # process in topological order: children before parents. A node's
-    # subtree-min propagates upward; iterate in increasing index and then
-    # fix up with a second pass for non-postordered trees.
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            p = parent[v]
-            if p >= 0 and fd[v] < fd[p]:
-                fd[p] = fd[v]
-                changed = True
-    return fd
+    par = as_int_array(parent, "parent").tolist()
+    fd = list(range(len(par)))
+    # one pass in a children-before-parents order: a node's subtree
+    # minimum is final by the time it is pushed to its parent
+    for v in postorder(parent).tolist():
+        p = par[v]
+        if p >= 0 and fd[v] < fd[p]:
+            fd[p] = fd[v]
+    return np.array(fd, dtype=np.int64)
+
+
+def _climb(parent: list[int], support: list[int], mark: list[int],
+           stamp: int) -> list[int]:
+    """Union of the e-tree paths from ``support`` toward the root,
+    stopping at nodes whose ``mark`` already equals ``stamp``; marks and
+    returns the newly reached nodes in visiting order. The one climbing
+    loop behind :func:`etree_path_closure` and the ``method="etree"``
+    pattern of :func:`repro.lu.solution_pattern`."""
+    out: list[int] = []
+    for v in support:
+        while v >= 0 and mark[v] != stamp:
+            mark[v] = stamp
+            out.append(v)
+            v = parent[v]
+    return out
 
 
 def etree_path_closure(parent: np.ndarray, support: np.ndarray,
@@ -175,18 +210,15 @@ def etree_path_closure(parent: np.ndarray, support: np.ndarray,
     """
     parent = as_int_array(parent, "parent")
     n = parent.size
-    mark = np.zeros(n, dtype=bool) if stop is None else stop.copy()
-    out = []
-    for s in as_int_array(support, "support"):
-        v = int(s)
-        if v < 0 or v >= n:
-            raise IndexError(f"support index {v} out of range [0, {n})")
-        while v >= 0 and not mark[v]:
-            mark[v] = True
-            out.append(v)
-            v = parent[v]
-    out_arr = np.asarray(sorted(out), dtype=np.int64)
-    return out_arr
+    support = as_int_array(support, "support")
+    bad = support[(support < 0) | (support >= n)]
+    if bad.size:
+        raise IndexError(f"support index {bad[0]} out of range [0, {n})")
+    mark = [False] * n if stop is None else \
+        np.asarray(stop, dtype=bool).tolist()
+    out = _climb(parent.tolist(), support.tolist(), mark, True)
+    out.sort()
+    return np.array(out, dtype=np.int64)
 
 
 def symbolic_cholesky_row_counts(A: sp.spmatrix,
@@ -202,19 +234,17 @@ def symbolic_cholesky_row_counts(A: sp.spmatrix,
     n = A.shape[0]
     if parent is None:
         parent = elimination_tree(A)
-    parent = as_int_array(parent, "parent")
-    counts = np.ones(n, dtype=np.int64)  # diagonal
-    mark = np.full(n, -1, dtype=np.int64)
-    indptr, indices = A.indptr, A.indices
+    par = as_int_array(parent, "parent").tolist()
+    counts: list[int] = []
+    mark = [-1] * n
+    indptr, indices = A.indptr.tolist(), A.indices
     for i in range(n):
         mark[i] = i
-        for p in range(indptr[i], indptr[i + 1]):
-            k = indices[p]
-            if k >= i:
-                continue
-            j = k
+        count = 1  # diagonal
+        for j in indices[indptr[i]:indptr[i + 1]].tolist():
             while j != -1 and j < i and mark[j] != i:
                 mark[j] = i
-                counts[i] += 1
-                j = parent[j]
-    return counts
+                count += 1
+                j = par[j]
+        counts.append(count)
+    return np.array(counts, dtype=np.int64)

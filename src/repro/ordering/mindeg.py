@@ -41,67 +41,88 @@ def minimum_degree(A: sp.spmatrix) -> np.ndarray:
     if not is_structurally_symmetric(A):
         A = symmetrized(A)
     n = A.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    indptr, indices = A.indptr, A.indices
-    var_adj: list[set[int]] = [
-        set(indices[indptr[i]:indptr[i + 1]].tolist()) - {i} for i in range(n)
-    ]
+    # The elimination loop is sequential and touches one variable or
+    # element at a time, so its state lives in plain lists, sets and a
+    # bytearray: per-element indexing of numpy arrays boxes a scalar on
+    # every access.
+    ptr, idx = A.indptr.tolist(), A.indices
+    var_adj: list[set[int]] = [set(idx[ptr[i]:ptr[i + 1]].tolist())
+                               for i in range(n)]
+    for i, adj in enumerate(var_adj):
+        adj.discard(i)
     var_elems: list[set[int]] = [set() for _ in range(n)]
-    elem_vars: dict[int, set[int]] = {}
-    eliminated = np.zeros(n, dtype=bool)
-    degree = np.array([len(a) for a in var_adj], dtype=np.int64)
-    heap: list[tuple[int, int]] = [(int(degree[v]), v) for v in range(n)]
+    # An element is named after the variable whose elimination created
+    # it. Live elements never lose a variable (eliminating one absorbs
+    # every element holding it), so an element's contribution to its
+    # variables' degrees, |Le| - 1, is fixed at creation and each
+    # variable keeps the running sum over its elements.
+    elem_vars: list[set[int]] = [set() for _ in range(n)]
+    elem_reach = [0] * n
+    reach_sum = [0] * n
+    eliminated = bytearray(n)
+    degree = [len(a) for a in var_adj]
+    heap: list[tuple[int, int]] = list(zip(degree, range(n)))
     heapq.heapify(heap)
-    stamp = np.zeros(n, dtype=np.int64)  # lazy-deletion version counters
-    order = np.empty(n, dtype=np.int64)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    order: list[int] = []
 
     for step in range(n):
         # pop until a live, up-to-date entry appears
         while True:
-            d, v = heapq.heappop(heap)
+            d, v = heappop(heap)
             if not eliminated[v] and d == degree[v]:
                 break
-        order[step] = v
-        eliminated[v] = True
+        order.append(v)
+        eliminated[v] = 1
 
-        # Le = neighbourhood of v in the quotient graph = new element
-        elems_v = list(var_elems[v])
-        le: set[int] = set(var_adj[v])
-        for e in elems_v:
-            le |= elem_vars[e]
+        # Le = neighbourhood of v in the quotient graph = new element.
+        # Neither v's explicit neighbours nor its elements hold an
+        # eliminated variable (both are purged below, every step).
+        fresh = var_adj[v]
+        absorbed = var_elems[v]
+        le = fresh.union(*[elem_vars[e] for e in absorbed])
         le.discard(v)
-        le = {u for u in le if not eliminated[u]}
+        var_adj[v] = set()
+        var_elems[v] = set()
 
-        # absorb adjacent elements
-        for e in elems_v:
+        # absorb adjacent elements (each holds v too: its entries were
+        # just reset and are never read again)
+        for e in absorbed:
+            reach = elem_reach[e]
             for u in elem_vars[e]:
                 var_elems[u].discard(e)
-            del elem_vars[e]
-        var_elems[v].clear()
-        var_adj[v].clear()
+                reach_sum[u] -= reach
+            elem_vars[e] = set()
 
         if not le:
             continue
-        eid = v  # reuse the variable index as the element id
-        elem_vars[eid] = le
+        # reuse the variable index as the element id
+        elem_vars[v] = le
+        elem_reach[v] = reach = len(le) - 1
+        # Explicit edges inside Le are now represented by the element.
+        # Two variables of one absorbed element lost theirs when it was
+        # formed, so with a single absorbed element only v's explicit
+        # neighbours can still carry one. ``&`` scans the smaller set.
+        for u in (fresh if len(absorbed) == 1 else le):
+            adj = var_adj[u]
+            adj.discard(v)
+            inside = adj & le
+            if inside:
+                adj -= inside
+                for w in inside:
+                    var_adj[w].discard(u)
+        cap = n - step - 1
         for u in le:
-            # edges inside the element are now represented by it
-            var_adj[u] -= le
-            var_adj[u].discard(v)
-            var_elems[u].add(eid)
+            var_elems[u].add(v)
+            reach_sum[u] += reach
             # approximate external degree
-            d_u = len(var_adj[u])
-            for e in var_elems[u]:
-                d_u += len(elem_vars[e]) - 1
-            d_u = min(d_u, n - step - 1)
+            d_u = len(var_adj[u]) + reach_sum[u]
+            if d_u > cap:
+                d_u = cap
             if d_u != degree[u]:
                 degree[u] = d_u
-                stamp[u] += 1
-                heapq.heappush(heap, (d_u, u))
-            elif stamp[u] == 0:
-                pass  # initial entry still valid
-    return order
+                heappush(heap, (d_u, u))
+    return np.array(order, dtype=np.int64)
 
 
 def permute_symmetric(A: sp.spmatrix, order: np.ndarray) -> sp.csr_matrix:

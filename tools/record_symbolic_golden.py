@@ -1,0 +1,484 @@
+#!/usr/bin/env python
+"""Record golden digests of the symbolic set-up kernels.
+
+The ordering / e-tree / solution-pattern / supernodal-repack kernels
+carry an *identical-output* contract: a rewrite for speed must return
+the same permutations, parent arrays, ``G`` patterns, supernode ranges,
+dense blocks and scalings, bit for bit, because everything downstream
+(``S~``, ``x``, every deterministic counter) is a function of them.
+This script runs every such kernel on a fixed set of inputs and writes
+one blake2b digest per call to ``tests/data/symbolic_golden.json``;
+``tests/test_symbolic_golden.py`` recomputes the same calls and
+compares.
+
+Regenerate the file only from a commit whose kernels are known good
+(the file in the repo was recorded from the commit *before* the
+array-native rewrite), never to make a failing test pass::
+
+    PYTHONPATH=src python tools/record_symbolic_golden.py
+
+Each row is ``[case id, digest of the inputs, digest of the output]``
+in pipeline order. Later inputs are built from earlier outputs (a
+factor ``L`` depends on the ordering that produced it), and SuperLU /
+BLAS values may differ between hosts, so the test only holds an output
+to the golden digest when the input digest matches, and tells a changed
+kernel (input equal, output not) from a changed host (input differs
+under another numpy/scipy/CPU stamp).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import sys
+from functools import partial
+from pathlib import Path
+
+if __package__ in (None, ""):
+    # allow running as a plain script: put src/ on the path
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+import scipy
+import scipy.sparse as sp
+
+from repro.lu import (
+    SupernodalLower,
+    detect_supernodes,
+    factor_etree,
+    factorize,
+    relaxed_supernodes,
+    solution_pattern,
+)
+from repro.matrices import SUITE, generate
+from repro.numerics.equilibrate import _row_abs_max, ruiz_equilibrate
+from repro.ordering import (
+    children_lists,
+    elimination_tree,
+    etree_path_closure,
+    first_descendants,
+    minimum_degree,
+    postorder,
+    symbolic_cholesky_row_counts,
+    tree_level,
+)
+from repro.solver import PDSLin, PDSLinConfig
+from repro.sparse import symmetrized
+
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / \
+    "tests" / "data" / "symbolic_golden.json"
+
+SMALL_MATRICES = ("tdr190k", "G3_circuit", "ASIC_680ks")
+E2E_MATRICES = ("tdr190k", "matrix211")
+
+
+# -- digests -----------------------------------------------------------------
+
+def _feed(h, obj) -> None:
+    """Canonical byte stream of a kernel input/output. Index arrays are
+    widened to int64 (the contract is about values, not index width);
+    float data and the memory order of dense blocks are kept, since
+    BLAS results downstream depend on both."""
+    if sp.issparse(obj):
+        h.update(f"sp:{obj.format}:{obj.shape}:{obj.data.dtype}|".encode())
+        _feed(h, np.asarray(obj.indptr, dtype=np.int64))
+        _feed(h, np.asarray(obj.indices, dtype=np.int64))
+        h.update(np.ascontiguousarray(obj.data).tobytes())
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "iu":
+            obj = obj.astype(np.int64)
+        elif obj.dtype.kind == "b":
+            obj = obj.astype(np.uint8)
+        order = ("C" if obj.flags.c_contiguous else
+                 "F" if obj.flags.f_contiguous else "N")
+        h.update(f"nd:{obj.dtype}:{obj.shape}:{order}|".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, SupernodalLower):
+        _feed(h, (obj.n, obj.snodes, obj.diag_blocks, obj.below_rows,
+                  obj.below_blocks, obj.unit_diagonal, obj.nnz))
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"seq:{len(obj)}[".encode())
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    elif isinstance(obj, dict):
+        _feed(h, sorted(obj.items()))
+    elif isinstance(obj, (np.integer, np.floating, np.bool_)):
+        _feed(h, obj.item())
+    elif obj is None or isinstance(obj, (bool, int, float, str)):
+        h.update(f"{type(obj).__name__}:{obj!r}|".encode())
+    else:
+        raise TypeError(f"cannot digest {type(obj).__name__}")
+
+
+def digest(*objs) -> str:
+    h = hashlib.blake2b(digest_size=8)
+    _feed(h, objs)
+    return h.hexdigest()
+
+
+class Rows:
+    """Accumulates ``[case id, input digest, output digest]`` rows."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.rows: list[list[str]] = []
+
+    def call(self, case: str, fn, *args, **kwargs):
+        """Run ``fn`` and record it. A rejected input is recorded by its
+        exception type (the checks are part of the contract) and
+        returns ``None``."""
+        try:
+            out = shown = fn(*args, **kwargs)
+        except (ValueError, IndexError, TypeError) as exc:
+            out, shown = None, f"raises {type(exc).__name__}"
+        self.rows.append([f"{self.prefix}/{case}", digest(args, kwargs),
+                          digest(shown)])
+        return out
+
+
+# -- kernel bundles ----------------------------------------------------------
+
+def _tree_kernels(rows: Rows, tag: str, parent: np.ndarray) -> None:
+    n = len(parent)
+    rows.call(f"{tag}:children_lists", children_lists, parent)
+    rows.call(f"{tag}:postorder", postorder, parent)
+    rows.call(f"{tag}:tree_level", tree_level, parent)
+    rows.call(f"{tag}:first_descendants", first_descendants, parent)
+    support = np.arange(0, n, 7, dtype=np.int64)
+    rows.call(f"{tag}:etree_path_closure", etree_path_closure, parent,
+              support)
+    stop = np.zeros(n, dtype=bool)
+    stop[n // 2:] = True
+    rows.call(f"{tag}:etree_path_closure_stop", etree_path_closure, parent,
+              support[::-1].copy(), stop=stop)
+
+
+def _ordering_kernels(rows: Rows, tag: str, A: sp.spmatrix) -> np.ndarray:
+    """minimum degree + the e-tree family on ``A``; returns the
+    MD + postorder permutation ``order_subdomain`` would build."""
+    md = rows.call(f"{tag}:minimum_degree", minimum_degree, A)
+    S = symmetrized(A)
+    parent = rows.call(f"{tag}:elimination_tree", elimination_tree, S)
+    _tree_kernels(rows, tag, parent)
+    rows.call(f"{tag}:row_counts", symbolic_cholesky_row_counts, S, parent)
+    Dm = A[md][:, md].tocsr()
+    parent_md = rows.call(f"{tag}:elimination_tree_md", elimination_tree,
+                          symmetrized(Dm))
+    po = rows.call(f"{tag}:postorder_md", postorder, parent_md)
+    return md[po]
+
+
+def _factor_kernels(rows: Rows, tag: str, L: sp.spmatrix, B: sp.spmatrix,
+                    *, unit_diagonal: bool) -> None:
+    rows.call(f"{tag}:factor_etree", factor_etree, L)
+    rows.call(f"{tag}:solution_pattern_etree", solution_pattern, L, B,
+              method="etree")
+    rows.call(f"{tag}:detect_supernodes", detect_supernodes, L)
+    rows.call(f"{tag}:detect_supernodes_max5", detect_supernodes, L,
+              max_size=5)
+    rows.call(f"{tag}:from_csc", SupernodalLower.from_csc, L,
+              unit_diagonal=unit_diagonal)
+    rows.call(f"{tag}:from_csc_max3", SupernodalLower.from_csc, L,
+              unit_diagonal=unit_diagonal, max_supernode=3)
+    relaxed = rows.call(f"{tag}:relaxed_supernodes", relaxed_supernodes, L,
+                        relax=0.3)
+    if relaxed is not None:
+        rows.call(f"{tag}:from_csc_relaxed", SupernodalLower.from_csc, L,
+                  unit_diagonal=unit_diagonal, snodes=relaxed)
+
+
+def _scaling_kernels(rows: Rows, tag: str, A: sp.spmatrix) -> None:
+    A = sp.csr_matrix(A)
+    rows.call(f"{tag}:row_abs_max", _row_abs_max, A)
+    rows.call(f"{tag}:col_abs_max", _row_abs_max, A.T.tocsr())
+    eq = ruiz_equilibrate(A)
+    rows.rows.append([f"{rows.prefix}/{tag}:ruiz_equilibrate", digest(A),
+                      digest(eq.row_scale, eq.col_scale, eq.iterations,
+                             eq.A_scaled)])
+
+
+# -- groups ------------------------------------------------------------------
+
+def _coo(n: int, entries, *, m: int | None = None) -> sp.csr_matrix:
+    """CSR from (row, col, value) triples; duplicates are *kept* as
+    separate stored entries so the kernels' canonicalisation runs."""
+    r = np.array([e[0] for e in entries], dtype=np.int64)
+    c = np.array([e[1] for e in entries], dtype=np.int64)
+    v = np.array([e[2] for e in entries], dtype=np.float64)
+    return sp.coo_matrix((v, (r, c)), shape=(n, n if m is None else m)).tocsr()
+
+
+def _lower_with_diag(pattern: sp.spmatrix, seed: int) -> sp.csc_matrix:
+    """Lower-triangular CSC with a full diagonal and seeded values."""
+    n = pattern.shape[0]
+    L = sp.tril(pattern, -1, format="csr") + sp.eye(n, format="csr")
+    L = L.tocsc()
+    L.sort_indices()
+    L.data = np.random.default_rng(seed).uniform(0.5, 1.5, L.nnz)
+    return L
+
+
+def edge_rows() -> list[list[str]]:
+    """Hand-made degenerate patterns, one per awkward case."""
+    rows = Rows("edge")
+    rng = np.random.default_rng(7)
+
+    # --- symmetric-pattern inputs for ordering / e-tree kernels
+    sym_inputs = {
+        "n0": sp.csr_matrix((0, 0)),
+        "n1": sp.csr_matrix(np.array([[2.0]])),
+        "n1_empty": sp.csr_matrix((1, 1)),
+        "diagonal": sp.identity(6, format="csr"),
+        # rows/cols 1 and 4 empty, no diagonal anywhere
+        "empty_rows_cols": _coo(6, [(0, 2, 1.0), (2, 0, 1.0), (3, 5, 2.0),
+                                    (5, 3, 2.0), (0, 5, 1.0), (5, 0, 1.0)]),
+        # explicit zeros are part of the stored pattern
+        "stored_zeros": _coo(5, [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0),
+                                 (3, 3, 1.0), (4, 4, 1.0), (0, 3, 0.0),
+                                 (3, 0, 0.0), (1, 4, 2.0), (4, 1, 2.0),
+                                 (2, 4, 0.0)]),
+        "duplicates": _coo(5, [(0, 1, 1.0), (0, 1, 2.0), (1, 0, 3.0),
+                               (1, 0, -3.0), (2, 3, 1.0), (3, 2, 1.0),
+                               (3, 2, 1.0), (4, 4, 1.0), (4, 0, 1.0),
+                               (0, 4, 1.0)]),
+        "unsymmetric": _coo(7, [(0, 3, 1.0), (1, 0, 1.0), (2, 6, 1.0),
+                                (3, 1, 1.0), (4, 2, 1.0), (5, 4, 1.0),
+                                (6, 5, 1.0), (6, 0, 1.0), (2, 2, 1.0)]),
+        "strict_upper": sp.triu(sp.random(9, 9, 0.4, random_state=3), 1,
+                                format="csr"),
+        "dense_block": sp.csr_matrix(np.ones((12, 12))),
+        "tridiagonal": sp.diags([np.ones(14), 2 * np.ones(15), np.ones(14)],
+                                [-1, 0, 1], format="csr"),
+        "arrow": sp.csr_matrix(np.eye(10) + np.eye(10)[[0] * 10]
+                               + np.eye(10)[[0] * 10].T),
+        # two dense cliques joined by one vertex: many equal-degree ties
+        "two_cliques": sp.block_diag([np.ones((6, 6)), np.ones((6, 6))],
+                                     format="lil"),
+        "random_40": sp.random(40, 40, 0.08, random_state=11, format="csr"),
+        "random_sym_60": None,
+    }
+    tc = sym_inputs["two_cliques"]
+    tc[5, 6] = tc[6, 5] = 1.0
+    sym_inputs["two_cliques"] = tc.tocsr()
+    R = sp.random(60, 60, 0.06, random_state=5, format="csr")
+    sym_inputs["random_sym_60"] = (R + R.T + sp.identity(60)).tocsr()
+    for tag, A in sym_inputs.items():
+        _ordering_kernels(rows, tag, A)
+        _scaling_kernels(rows, tag, A)
+    rows.call("rect:elimination_tree", elimination_tree,
+              sp.csr_matrix((3, 4)))
+    rows.call("rect:minimum_degree", minimum_degree, sp.csr_matrix((3, 4)))
+    rows.call("rect:row_abs_max", _row_abs_max,
+              _coo(4, [(0, 0, -3.0), (0, 2, 2.0), (2, 1, 0.0), (3, 0, 1e-300),
+                       (3, 2, -1e-300)], m=3))
+    rows.call("nan:row_abs_max", _row_abs_max,
+              _coo(3, [(0, 0, 1.0), (0, 1, np.nan), (1, 1, -np.inf),
+                       (1, 2, 5.0)]))
+
+    # --- parent arrays fed straight to the tree kernels
+    n = 25
+    trees = {
+        "tree_empty": np.empty(0, dtype=np.int64),
+        "tree_single": np.array([-1]),
+        "tree_chain_up": np.r_[np.arange(1, n), -1],
+        # root-first chain: the quadratic case of the old fd sweep
+        "tree_chain_down": np.r_[-1, np.arange(0, n - 1)],
+        "tree_star": np.r_[np.full(n - 1, n - 1), -1],
+        "tree_star_root_first": np.r_[-1, np.zeros(n - 1, dtype=np.int64)],
+        "tree_forest": np.array([2, 2, -1, 5, 5, -1, -1, 9, 9, -1]),
+        "tree_shuffled": None,
+        "tree_int32": np.array([1, 2, -1], dtype=np.int32),
+        "tree_float": np.array([1.0, 2.0, -1.0]),
+    }
+    # a random tree under a random relabelling (parents not above kids)
+    par = np.r_[-1, [int(rng.integers(0, v)) for v in range(1, 30)]]
+    relabel = rng.permutation(30)
+    shuffled = np.empty(30, dtype=np.int64)
+    shuffled[relabel] = np.where(par >= 0, relabel[par], -1)
+    trees["tree_shuffled"] = shuffled
+    for tag, parent in trees.items():
+        _tree_kernels(rows, tag, parent)
+    rows.call("tree_cycle:postorder", postorder, np.array([1, 2, 0]))
+    rows.call("tree_selfparent:children_lists", children_lists,
+              np.array([0, -1]))
+    rows.call("tree_selfparent:postorder", postorder, np.array([-1, 1]))
+    rows.call("tree_badtype:postorder", postorder, np.array([0.5, -1.0]))
+    rows.call("closure_out_of_range", etree_path_closure,
+              np.array([1, -1]), np.array([2]))
+    rows.call("closure_negative", etree_path_closure,
+              np.array([1, -1]), np.array([-1]))
+    rows.call("closure_repeated_support", etree_path_closure,
+              np.array([1, 2, 3, -1, 3]), np.array([4, 0, 0, 4]))
+
+    # --- lower-triangular factors for the lu kernels
+    grid = sp.diags([np.ones(29), np.ones(24), 4 * np.ones(30), np.ones(24),
+                     np.ones(29)], [-1, -6, 0, 6, 1], format="csr")
+    factors = {
+        "L_n0": sp.csc_matrix((0, 0)),
+        "L_n1": sp.csc_matrix(np.array([[3.0]])),
+        "L_identity": sp.identity(5, format="csc"),
+        "L_dense": sp.csc_matrix(np.tril(rng.uniform(0.5, 1.5, (70, 70)))),
+        "L_bidiagonal": _lower_with_diag(sp.diags([np.ones(19)], [-1]), 1),
+        "L_arrow": _lower_with_diag(sp.csr_matrix(np.eye(12)[[11] * 12].T), 2),
+        "L_grid": _lower_with_diag(grid, 3),
+        "L_random": _lower_with_diag(
+            sp.random(50, 50, 0.1, random_state=13), 4),
+        # pivoted-LU-like: a column hits a row off its first-parent path
+        "L_off_path": _lower_with_diag(
+            _coo(6, [(2, 0, 1.0), (5, 0, 1.0), (3, 2, 1.0), (4, 1, 1.0),
+                     (5, 4, 1.0)]), 5),
+        # upper entries are ignored by the symbolic kernels and rejected
+        # by the repack (a column must lead with its diagonal)
+        "L_with_upper": (_lower_with_diag(sp.random(15, 15, 0.2,
+                                                    random_state=17), 6)
+                         + sp.triu(sp.random(15, 15, 0.1, random_state=19),
+                                   1)).tocsc(),
+        "L_missing_diag": sp.csc_matrix(np.array([[1.0, 0, 0], [1.0, 0, 0],
+                                                  [0, 1.0, 1.0]])),
+        "L_stored_zero_diag": None,
+        "L_duplicates": None,
+    }
+    Lz = _lower_with_diag(sp.random(10, 10, 0.3, random_state=23), 8)
+    Lz.data[Lz.indptr[4]] = 0.0            # explicit zero on the diagonal
+    Lz.data[Lz.indptr[2] + 1:Lz.indptr[3]] = 0.0   # and below it
+    factors["L_stored_zero_diag"] = Lz
+    Ld = _lower_with_diag(sp.random(8, 8, 0.3, random_state=29), 9).tocoo()
+    factors["L_duplicates"] = sp.coo_matrix(
+        (np.r_[Ld.data, Ld.data[:5]],
+         (np.r_[Ld.row, Ld.row[:5]], np.r_[Ld.col, Ld.col[:5]])),
+        shape=Ld.shape).tocsc()
+    for tag, L in factors.items():
+        nL = L.shape[0]
+        B = sp.random(nL, 9, 0.15, random_state=31, format="csr")
+        if nL:
+            B = (B + _coo(nL, [(nL - 1, 0, 1.0), (0, 8, 1.0)], m=9)).tocsr()
+        _factor_kernels(rows, tag, L, B, unit_diagonal=(tag != "L_dense"))
+        _factor_kernels(rows, tag + "_nonunit", L, B, unit_diagonal=False)
+    L = factors["L_grid"]
+    rows.call("B_empty:solution_pattern", solution_pattern, L,
+              sp.csr_matrix((30, 0)), method="etree")
+    rows.call("B_zero_cols:solution_pattern", solution_pattern, L,
+              sp.csr_matrix((30, 4)), method="etree")
+    rows.call("B_mismatch:solution_pattern", solution_pattern, L,
+              sp.csr_matrix((29, 4)), method="etree")
+    rows.call("B_duplicates:solution_pattern", solution_pattern, L,
+              _coo(30, [(3, 0, 1.0), (3, 0, 1.0), (0, 1, 0.0), (29, 2, 1.0)],
+                   m=3), method="etree")
+    for bad in ([(0, 10), (12, 30)], [(0, 10), (10, 10), (10, 30)],
+                [(0, 29)], [(1, 30)]):
+        rows.call(f"bad_ranges_{bad[0][0]}_{bad[-1][1]}_{len(bad)}",
+                  SupernodalLower.from_csc, L, unit_diagonal=True,
+                  snodes=bad)
+    for ms in (1, 2, 64, 1000):
+        rows.call(f"L_dense:detect_supernodes_max{ms}", detect_supernodes,
+                  factors["L_dense"], max_size=ms)
+    return rows.rows
+
+
+def _interface_like(n: int, seed: int) -> sp.csr_matrix:
+    return sp.random(n, 24, min(1.0, 40.0 / max(n, 1)), random_state=seed,
+                     format="csr")
+
+
+def tiny_rows(name: str) -> list[list[str]]:
+    """Every kernel on one suite matrix at tiny scale."""
+    rows = Rows(f"tiny/{name}")
+    A = generate(name, "tiny").A
+    perm = _ordering_kernels(rows, "A", A)
+    _scaling_kernels(rows, "A", A)
+    f = factorize(A[perm][:, perm].tocsc())
+    n = A.shape[0]
+    _factor_kernels(rows, "L", f.L, f.permute_rows(_interface_like(n, 1)),
+                    unit_diagonal=True)
+    UT = f.U.T.tocsc()
+    _factor_kernels(rows, "UT", UT, _interface_like(n, 2)[f.perm_c].tocsr(),
+                    unit_diagonal=False)
+    return rows.rows
+
+
+def small_rows(name: str) -> list[list[str]]:
+    """The blocks of a real ``k=8`` set-up at small scale: each
+    subdomain's ``D``, ``L``, ``U^T`` and interface block, then ``S~``
+    (the dense-ish minimum-degree case)."""
+    rows = Rows(f"small/{name}")
+    gm = generate(name, "small")
+    solver = PDSLin(gm.A, PDSLinConfig(k=8), M=gm.M)
+    solver.setup()
+    _scaling_kernels(rows, "A", gm.A)
+    for ell, sd in enumerate(solver.subdomains):
+        sub, f = sd.interfaces, sd.factors
+        md = rows.call(f"D{ell}:minimum_degree", minimum_degree, sub.D)
+        parent = rows.call(f"D{ell}:elimination_tree", elimination_tree,
+                           symmetrized(sub.D[md][:, md].tocsr()))
+        rows.call(f"D{ell}:postorder", postorder, parent)
+        Epp = f.permute_rows(sub.E_hat[sd.perm].tocsr())
+        _factor_kernels(rows, f"L{ell}", f.L, Epp, unit_diagonal=True)
+        UT = f.U.T.tocsc()
+        Fc = sub.F_hat[:, sd.perm].tocsr()[:, f.perm_c].tocsr()
+        _factor_kernels(rows, f"UT{ell}", UT, Fc.T.tocsr(),
+                        unit_diagonal=False)
+    rows.call("S:minimum_degree", minimum_degree, solver.S_tilde)
+    return rows.rows
+
+
+def e2e_rows(name: str) -> list[list[str]]:
+    """``PDSLin.setup()+solve()``: subdomain perms, ``S~`` and ``x``."""
+    gm = generate(name, "tiny")
+    b = np.random.default_rng(0).standard_normal(gm.A.shape[0])
+    solver = PDSLin(gm.A, PDSLinConfig(k=4), M=gm.M)
+    solver.setup()
+    res = solver.solve(b)
+    tag, din = f"e2e/{name}", digest(gm.A, b)
+    return [
+        [f"{tag}:perms", din, digest([sd.perm for sd in solver.subdomains])],
+        [f"{tag}:S_tilde", din, digest(solver.S_tilde)],
+        [f"{tag}:x", din, digest(res.x)],
+    ]
+
+
+def groups() -> dict:
+    """Group name -> zero-argument builder of that group's rows."""
+    out = {"edge": edge_rows}
+    for name in SUITE:
+        out[f"tiny/{name}"] = partial(tiny_rows, name)
+    for name in SMALL_MATRICES:
+        out[f"small/{name}"] = partial(small_rows, name)
+    for name in E2E_MATRICES:
+        out[f"e2e/{name}"] = partial(e2e_rows, name)
+    return out
+
+
+def host_stamp() -> dict:
+    """What SuperLU / BLAS values can depend on."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "machine": platform.machine()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=GOLDEN_PATH)
+    ap.add_argument("--commit", default=None,
+                    help="commit the kernels were recorded from (stamped "
+                         "into the file)")
+    args = ap.parse_args(argv)
+    head = {"schema_version": 1, "recorded_from": args.commit,
+            "host": host_stamp()}
+    # one row per line, so a re-record diffs row by row
+    chunks = []
+    for gname, build in groups().items():
+        rows = build()
+        print(f"{gname}: {len(rows)} rows")
+        body = ",\n".join("  " + json.dumps(row) for row in rows)
+        chunks.append(f" {json.dumps(gname)}: [\n{body}\n ]")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(json.dumps(head, indent=1)[:-2] + ',\n "groups": {\n'
+                        + ",\n".join(chunks) + "\n }\n}\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
