@@ -53,6 +53,30 @@ def subdomain_factor(cavity_setup):
     return sd.factors.L, Epp
 
 
+@pytest.fixture(scope="module", params=[4, 8], ids=["k4", "k8"])
+def warm_setup(request, cavity, cavity_setup):
+    """A set-up solver that has already served one right-hand side."""
+    solver = cavity_setup if request.param == 4 else PDSLin(
+        cavity.A, PDSLinConfig(k=8), M=cavity.M).setup()
+    solver.solve(np.ones(cavity.A.shape[0]))
+    return solver
+
+
+def test_kernel_warm_solve(benchmark, warm_setup):
+    """One ``solve(b)`` on a set-up session: subdomain triangular
+    solves, GMRES on the Schur system, refinement, audits."""
+    b = np.random.default_rng(0).standard_normal(warm_setup.A.shape[0])
+    res = benchmark(warm_setup.solve, b)
+    assert res.converged
+
+
+def test_kernel_schur_matvec(benchmark, warm_setup):
+    """One application of the exact Schur operator of the solve plan."""
+    v = np.random.default_rng(0).standard_normal(
+        warm_setup.partition.separator_size)
+    benchmark(warm_setup.solve_plan.matvec, v)
+
+
 def test_kernel_etree(benchmark, cavity):
     A = symmetrized(cavity.A)
     benchmark(elimination_tree, A)

@@ -666,6 +666,7 @@ class ProcessBackend(_PooledBackend):
         if pool is None:
             return
         procs = list(getattr(pool, "_processes", {}).values())
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
         for p in procs:
             if p.is_alive():
@@ -680,6 +681,13 @@ class ProcessBackend(_PooledBackend):
             if p.is_alive():
                 p.kill()
                 p.join(timeout=self._join_grace_s)
+        # the pool's manager thread joins the same workers; whichever
+        # thread loses the waitpid race sees ECHILD and leaves the
+        # process looking alive until the winner has stored its exit
+        # code. Wait for that thread, so that nothing this pool started
+        # is still in multiprocessing.active_children() on return
+        if manager is not None:
+            manager.join(timeout=self._join_grace_s)
 
     def close(self) -> None:
         self._terminate()

@@ -126,6 +126,12 @@ def _abs_colsum(M: sp.spmatrix) -> np.ndarray:
                       dtype=np.float64).ravel()
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """``max|a|``, 0 for an empty array: a subdomain the partitioner
+    left empty has 0x0 factors and nothing to be corrupted."""
+    return float(np.max(np.abs(a), initial=0.0))
+
+
 @dataclass
 class FactorChecksums:
     """Checksum record attached to :class:`repro.lu.LUFactors`.
@@ -201,9 +207,9 @@ def attach_factor_checksums(factors, A_pre: sp.spmatrix) -> FactorChecksums:
     colsum_A = _colsum(A_pre)[factors.perm_c]
     abs_colsum_A = _abs_colsum(A_pre)[factors.perm_c]
     lhs = colsum_L @ factors.U
-    den = float(np.max(_abs_colsum(factors.L) @ abs(factors.U)
-                       + abs_colsum_A)) + 1e-300
-    base_rel = float(np.max(np.abs(lhs - colsum_A))) / den
+    den = _max_abs(_abs_colsum(factors.L) @ abs(factors.U)
+                   + abs_colsum_A) + 1e-300
+    base_rel = _max_abs(lhs - colsum_A) / den
     cs = FactorChecksums(
         colsum_L=colsum_L, colsum_U=colsum_U, colsum_A=colsum_A,
         abs_colsum_A=abs_colsum_A, identity_den=den,
@@ -225,15 +231,12 @@ def verify_factors(factors) -> AuditResult:
     cs = getattr(factors, "checksums", None)
     if cs is None:
         return AuditResult(ok=True, rel=0.0, detail="no checksums attached")
-    scale = float(np.max(np.abs(cs.colsum_U))) + float(
-        np.max(np.abs(cs.colsum_L))) + 1e-300
-    rel_L = float(np.max(np.abs(_colsum(factors.L) - cs.colsum_L))) \
-        / scale / MEMORY_TOL
-    rel_U = float(np.max(np.abs(_colsum(factors.U) - cs.colsum_U))) \
-        / scale / MEMORY_TOL
+    scale = _max_abs(cs.colsum_U) + _max_abs(cs.colsum_L) + 1e-300
+    rel_L = _max_abs(_colsum(factors.L) - cs.colsum_L) / scale / MEMORY_TOL
+    rel_U = _max_abs(_colsum(factors.U) - cs.colsum_U) / scale / MEMORY_TOL
     ident = _colsum(factors.L) @ factors.U - cs.colsum_A
     tol_ident = max(IDENTITY_TOL, 4.0 * cs.base_identity_rel)
-    rel_I = float(np.max(np.abs(ident))) / cs.identity_den / tol_ident
+    rel_I = _max_abs(ident) / cs.identity_den / tol_ident
     rel = max(rel_L, rel_U, rel_I)
     which = {rel_L: "L column sums", rel_U: "U column sums",
              rel_I: "LU identity"}[rel]
@@ -256,9 +259,8 @@ def verify_matrix_checksum(M: sp.spmatrix, stored: np.ndarray) -> AuditResult:
     sparse canonicalization round-off, so the tolerance is
     :data:`MEMORY_TOL` relative to the absolute column sums."""
     fresh = _colsum(M)
-    den = float(np.max(_abs_colsum(M))) + float(
-        np.max(np.abs(stored))) + 1e-300
-    rel = float(np.max(np.abs(fresh - stored))) / den / MEMORY_TOL
+    den = _max_abs(_abs_colsum(M)) + _max_abs(stored) + 1e-300
+    rel = _max_abs(fresh - stored) / den / MEMORY_TOL
     return AuditResult(ok=rel <= 1.0, rel=rel,
                        detail=f"column sums off by {rel:.2e}x tolerance"
                        if rel > 1.0 else "clean")

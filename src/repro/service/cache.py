@@ -73,12 +73,13 @@ def _payload_nbytes(obj, seen: set, depth: int) -> int:
 def session_nbytes(solver: PDSLin) -> int:
     """Resident-set estimate of one set-up session: the input matrix,
     the working system, every subdomain's factors and interface blocks,
-    and the assembled/factored Schur complement."""
+    the assembled/factored Schur complement, and the solve plan's
+    permuted copies of the interface and separator blocks."""
     seen: set = set()
     total = 0
     for obj in (solver.A_input, solver.A, solver.S_tilde,
                 solver._schur_factors, solver.subdomains,
-                solver.partition):
+                solver.partition, solver.solve_plan):
         total += _payload_nbytes(obj, seen, depth=4)
     return total
 

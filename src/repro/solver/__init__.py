@@ -10,6 +10,7 @@ from repro.solver.pdslin import (
     PDSLinResult,
     SubdomainComputation,
 )
+from repro.solver.plan import SolvePlan
 from repro.solver.report import format_report, run_report, save_report
 from repro.solver.runtime import RuntimeOptions
 from repro.solver.schur import (
@@ -24,6 +25,6 @@ __all__ = [
     "SubdomainInterfaces", "extract_interfaces",
     "assemble_approximate_schur", "drop_small_entries", "implicit_schur_matvec",
     "PDSLinConfig", "PDSLin", "PDSLinResult", "BlockResult",
-    "RuntimeOptions", "SubdomainComputation",
+    "RuntimeOptions", "SolvePlan", "SubdomainComputation",
     "run_report", "format_report", "save_report",
 ]

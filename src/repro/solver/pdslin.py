@@ -102,10 +102,8 @@ from repro.solver.partasks import (
     unpack_subdomain_state,
     validate_chaos_env,
 )
-from repro.solver.schur import (
-    assemble_approximate_schur,
-    implicit_schur_matvec,
-)
+from repro.solver.plan import SolvePlan
+from repro.solver.schur import assemble_approximate_schur
 from repro.verify.invariants import NULL_VERIFIER, Verifier
 from repro.utils import (
     SeedLike,
@@ -542,6 +540,8 @@ class PDSLin:
         self._s_colsum: np.ndarray | None = None   # ABFT checksum of S~
         self._schur_perm: np.ndarray | None = None
         self._schur_factors: LUFactors | None = None
+        # solve-phase operators, rebuilt by every _numeric_setup()
+        self.solve_plan: SolvePlan | None = None
         self._is_setup = False
         self._prep: SystemTransform | None = None
         # effective drop tolerances: start at the configured values and
@@ -1020,6 +1020,7 @@ class PDSLin:
         # restored state is single-use: update_matrix() invalidates it
         self._restored_subs = {}
         self._restored_schur = None
+        self.solve_plan = SolvePlan.build(self.partition, self.subdomains)
         self._is_setup = True
 
     def update_matrix(self, A_new: sp.spmatrix) -> "PDSLin":
@@ -1916,8 +1917,8 @@ class PDSLin:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.A.shape[0],):
             raise ValueError(f"b must have shape ({self.A.shape[0]},)")
-        p = self.partition
-        sep = p.separator_vertices
+        plan = self.solve_plan
+        sep = self.partition.separator_vertices
         x = np.zeros_like(b)
 
         if sep.size == 0:
@@ -1939,42 +1940,36 @@ class PDSLin:
         # g^ = g - sum F_l D_l^{-1} f_l
         d_solutions: list[np.ndarray] = []
 
-        def forward_body_for(s):
+        def forward_body_for(s, Fp):
             def body(ledger):
                 v = s.interfaces.vertices
                 fl = b[v]
                 ul = s.factors.solve(fl[s.perm])  # in permuted coords
-                Fp = s.interfaces.F_hat[:, s.perm].tocsr()
                 return ul, Fp @ ul
             return body
 
-        for s in self.subdomains:
+        for s, Fp in zip(self.subdomains, plan.F_perm):
             ul, g_corr = self._on_subdomain(s.interfaces.ell, "Solve",
-                                            forward_body_for(s))
+                                            forward_body_for(s, Fp))
             d_solutions.append(ul)
             g[s.interfaces.f_rows] -= g_corr
 
-        with self.machine.on_root("Solve"):
-            subs = [s.interfaces for s in self.subdomains]
-            facs = [s.factors for s in self.subdomains]
-            perms = [s.perm for s in self.subdomains]
-            matvec = implicit_schur_matvec(p.C(), subs, facs, perms)
+        matvec = plan.matvec
         g_res = self._solve_schur_system(matvec, g)
         self.verifier.after_krylov(matvec, g, g_res)
         y = g_res.x
         x[sep] = y
 
         # back substitution: u_l = D^{-1}(f_l - E_l y)
-        def backward_body_for(s, ul0):
+        def backward_body_for(s, Ep, ul0):
             def body(ledger):
-                Ep = s.interfaces.E_hat[s.perm].tocsr()
                 rhs_corr = Ep @ y[s.interfaces.e_cols]
                 return ul0 - s.factors.solve(rhs_corr)
             return body
 
-        for s, ul0 in zip(self.subdomains, d_solutions):
+        for s, Ep, ul0 in zip(self.subdomains, plan.E_perm, d_solutions):
             ul = self._on_subdomain(s.interfaces.ell, "Solve",
-                                    backward_body_for(s, ul0))
+                                    backward_body_for(s, Ep, ul0))
             x[s.interfaces.vertices[s.perm]] = ul
 
         res_norm = float(np.linalg.norm(self.A @ x - b)
@@ -2217,8 +2212,8 @@ class PDSLin:
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != self.A.shape[0]:
             raise ValueError(f"B must be ({self.A.shape[0]}, nrhs)")
-        p = self.partition
-        sep = p.separator_vertices
+        plan = self.solve_plan
+        sep = self.partition.separator_vertices
         nrhs = B.shape[1]
         X = np.zeros_like(B)
 
@@ -2239,13 +2234,9 @@ class PDSLin:
                       for s in self.subdomains]
         d_solutions = self._block_subdomain_solves(rhs_blocks)
         with self.machine.on_root("Solve"):
-            for s, UL in zip(self.subdomains, d_solutions):
-                Fp = s.interfaces.F_hat[:, s.perm].tocsr()
+            for s, Fp, UL in zip(self.subdomains, plan.F_perm, d_solutions):
                 G[s.interfaces.f_rows] -= Fp @ UL
-            subs = [s.interfaces for s in self.subdomains]
-            facs = [s.factors for s in self.subdomains]
-            perms = [s.perm for s in self.subdomains]
-            matvec = implicit_schur_matvec(p.C(), subs, facs, perms)
+        matvec = plan.matvec
         results, Y = self._solve_schur_block(matvec, G)
         for j in range(nrhs):
             self.verifier.after_krylov(matvec, G[:, j], results[j])
@@ -2253,8 +2244,8 @@ class PDSLin:
 
         # back substitution: U_l = D^{-1}(F_l - E_l Y), again batched
         with self.machine.on_root("Solve"):
-            rhs2 = [s.interfaces.E_hat[s.perm].tocsr()
-                    @ Y[s.interfaces.e_cols] for s in self.subdomains]
+            rhs2 = [Ep @ Y[s.interfaces.e_cols]
+                    for s, Ep in zip(self.subdomains, plan.E_perm)]
         corrections = self._block_subdomain_solves(rhs2)
         for s, UL0, DL in zip(self.subdomains, d_solutions, corrections):
             X[s.interfaces.vertices[s.perm]] = UL0 - DL

@@ -99,19 +99,19 @@ def implicit_schur_matvec(
         C: sp.spmatrix,
         subs: Sequence[SubdomainInterfaces],
         factors: Sequence[LUFactors],
-        perms: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+        E_perm: Sequence[sp.csr_matrix],
+        F_perm: Sequence[sp.csr_matrix]) -> Callable[[np.ndarray], np.ndarray]:
     """Matvec closure for the exact Schur operator.
 
-    ``factors[l]`` factorizes ``D_l[perm][:, perm]`` with
-    ``perm = perms[l]``; the closure routes each subdomain solve through
-    that permutation.
+    ``factors[l]`` factorizes ``D_l[perm][:, perm]``; ``E_perm[l]`` and
+    ``F_perm[l]`` are that subdomain's interface blocks in the same
+    ordering, ``E^_l[perm]`` and ``F^_l[:, perm]``. ``factors`` is read
+    on every call, so a caller that swaps a subdomain's factors later
+    passes a live view rather than a snapshot.
     """
     C = C.tocsr()
-    if len(subs) != len(factors) or len(subs) != len(perms):
-        raise ValueError("subs, factors and perms must align")
-    # pre-permute interface blocks once
-    E_perm = [sub.E_hat[perm].tocsr() for sub, perm in zip(subs, perms)]
-    F_perm = [sub.F_hat[:, perm].tocsr() for sub, perm in zip(subs, perms)]
+    if not (len(subs) == len(factors) == len(E_perm) == len(F_perm)):
+        raise ValueError("subs, factors, E_perm and F_perm must align")
 
     def matvec(v: np.ndarray) -> np.ndarray:
         out = C @ v

@@ -116,8 +116,9 @@ def check_stage_oracles(A: sp.spmatrix, *, k: int = 4, seed=0,
 
     1. ``dense_exact_schur`` — dense solves on the uncompressed DBBD
        blocks;
-    2. the implicit exact operator ``implicit_schur_matvec``,
-       materialized column by column;
+    2. the implicit exact operator the solve phase iterates on
+       (``solver.solve_plan.matvec``, built by
+       ``implicit_schur_matvec``), materialized column by column;
     3. the assembled ``S~`` at ``drop_tol = 0`` (the production
        interface-solve + scatter path).
 
@@ -127,7 +128,6 @@ def check_stage_oracles(A: sp.spmatrix, *, k: int = 4, seed=0,
     """
     from repro.solver.pdslin import PDSLin
     from repro.solver.runtime import RuntimeOptions
-    from repro.solver.schur import implicit_schur_matvec
 
     verifier = verifier or Verifier()
     cfg = _default_config(k, seed, drop_interface=0.0, drop_schur=0.0,
@@ -140,11 +140,7 @@ def check_stage_oracles(A: sp.spmatrix, *, k: int = 4, seed=0,
         return {"ns": 0, "dense_vs_implicit": 0.0, "dense_vs_assembled": 0.0}
 
     S_dense = dense_exact_schur(solver.partition)
-    subs = [s.interfaces for s in solver.subdomains]
-    facs = [s.factors for s in solver.subdomains]
-    perms = [s.perm for s in solver.subdomains]
-    S_impl = materialize_operator(
-        implicit_schur_matvec(solver.partition.C(), subs, facs, perms), ns)
+    S_impl = materialize_operator(solver.solve_plan.matvec, ns)
     S_asm = solver.S_tilde.toarray()
 
     scale = max(float(np.abs(S_dense).max()), 1e-300)

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from tests.conftest import grid_laplacian
 
 from repro.lu import factorize
 from repro.matrices import generate, generate_robust, robust_suite_names
@@ -24,7 +25,7 @@ from repro.parallel.exec import (
     transport_checksum_enabled,
 )
 from repro.resilience import abft
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.solver.bicgstab import bicgstab
 from repro.solver.gmres import gmres
 from repro.solver.partasks import validate_chaos_env
@@ -183,6 +184,32 @@ class TestFactorChecksums:
         clone = pickle.loads(pickle.dumps(f))
         assert clone.checksums is not None
         assert abft.verify_factors(clone).ok
+
+    def test_empty_factors_attach_and_verify_clean(self):
+        # a subdomain the partitioner left empty has 0x0 factors
+        empty = sp.csc_matrix((0, 0))
+        f = factorize(empty, diag_pivot_thresh=0.0)
+        cs = abft.attach_factor_checksums(f, empty)
+        assert cs.base_identity_rel == 0.0 and cs.identity_den > 0.0
+        audit = abft.verify_factors(f)
+        assert audit.ok and audit.rel == 0.0
+        assert abft.verify_matrix_checksum(
+            empty, abft.checksum_matrix(empty)).ok
+
+    @pytest.mark.parametrize("mode", ["detect", "detect+recover"])
+    def test_solver_with_an_empty_subdomain(self, mode):
+        # a 3x3 grid cut four ways leaves one subdomain without
+        # vertices (the fuzzer's perturbed:matrix211 k=8 finding)
+        A = grid_laplacian(3, 3)
+        tr = Tracer()
+        solver = PDSLin(A, PDSLinConfig(k=4, seed=0, abft=mode),
+                        runtime=RuntimeOptions(tracer=tr)).setup()
+        assert 0 in [s.interfaces.dim for s in solver.subdomains]
+        b = np.arange(9, dtype=np.float64) + 1.0
+        res = solver.solve(b)
+        assert res.converged and not res.degraded
+        assert np.linalg.norm(A @ res.x - b) <= 1e-12 * np.linalg.norm(b)
+        assert tr.counters.get("sdc_detected", 0) == 0
 
 
 # -- bit-flip injector -------------------------------------------------------

@@ -12,7 +12,7 @@ from tests.conftest import grid_laplacian, random_unsymmetric
 from repro.obs import Tracer
 from repro.parallel.exec import ProcessBackend, ThreadBackend, get_backend
 from repro.resilience import FaultPlan, FaultSpec
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.solver.partasks import ENV_CRASH_SUBDOMAIN
 
 
@@ -28,8 +28,8 @@ def _rhs(A, seed=0):
 
 
 def _solve(A, backend, *, tracer=None, fault_plan=None, cfg=None):
-    solver = PDSLin(A, cfg or _cfg(), tracer=tracer or Tracer(),
-                    fault_plan=fault_plan, backend=backend)
+    solver = PDSLin(A, cfg or _cfg(), runtime=RuntimeOptions(
+        tracer=tracer or Tracer(), fault_plan=fault_plan, backend=backend))
     return solver, solver.solve(_rhs(A))
 
 
@@ -70,7 +70,8 @@ class TestBitParity:
         A = grid_laplacian(12, 12)
         A2 = (A * 1.5).tocsr()
         tracer = Tracer()
-        solver = PDSLin(A, _cfg(), tracer=tracer, backend=process2)
+        solver = PDSLin(A, _cfg(), runtime=RuntimeOptions(
+            tracer=tracer, backend=process2))
         solver.solve(_rhs(A))
         misses = tracer.counters.get("symbolic_cache_miss", 0)
         hits0 = tracer.counters.get("symbolic_cache_hit", 0)
@@ -79,7 +80,8 @@ class TestBitParity:
         # same pattern: every symbolic analysis is a cache hit now
         assert tracer.counters.get("symbolic_cache_hit", 0) >= hits0 + 4
         assert tracer.counters.get("symbolic_cache_miss", 0) == misses
-        ref = PDSLin(A2, _cfg(), backend="serial").solve(_rhs(A))
+        ref = PDSLin(A2, _cfg(), runtime=RuntimeOptions(
+            backend="serial")).solve(_rhs(A))
         assert res2.x.tobytes() == ref.x.tobytes()
 
 
@@ -167,7 +169,7 @@ class TestBackendSelection:
 
     def test_shared_backend_instances_reused_across_solvers(self):
         A = grid_laplacian(8, 8)
-        s1 = PDSLin(A, _cfg(), backend="thread:2")
-        s2 = PDSLin(A, _cfg(), backend="thread:2")
+        s1 = PDSLin(A, _cfg(), runtime=RuntimeOptions(backend="thread:2"))
+        s2 = PDSLin(A, _cfg(), runtime=RuntimeOptions(backend="thread:2"))
         assert s1.backend is s2.backend
         assert s1.backend is get_backend("thread", workers=2)

@@ -21,7 +21,7 @@ from repro.service import (
     UnknownSessionError,
     session_key,
 )
-from repro.service.cache import make_session
+from repro.service.cache import make_session, session_nbytes
 from repro.solver import PDSLin, PDSLinConfig
 
 
@@ -65,6 +65,24 @@ class TestSessionCache:
         matrix_bytes = hot.data.nbytes + hot.indices.nbytes \
             + hot.indptr.nbytes
         assert s.nbytes > matrix_bytes
+
+    def test_nbytes_includes_solve_plan(self, hot, cold_pair):
+        a = self._session(hot)
+        plan = a.solver.solve_plan
+        payload = sum(arr.nbytes
+                      for M in (plan.C, *plan.E_perm, *plan.F_perm)
+                      for arr in (M.data, M.indices, M.indptr))
+        assert payload > 0
+        a.solver.solve_plan = None
+        without = session_nbytes(a.solver)
+        a.solver.solve_plan = plan
+        assert a.nbytes == session_nbytes(a.solver) == without + payload
+        # one byte short of both sessions, plans counted: the older goes
+        b = self._session(cold_pair[0])
+        cache = SessionCache(a.nbytes + b.nbytes - 1)
+        cache.put(a)
+        assert [s.key for s in cache.put(b)] == [a.key]
+        assert cache.used_bytes == b.nbytes <= cache.budget_bytes
 
     def test_lru_eviction_respects_budget(self, hot, cold_pair):
         a = self._session(hot)
