@@ -127,7 +127,7 @@ _VARS = (
     # -- execution backends (repro.parallel.exec) --
     EnvVar("REPRO_BACKEND", "str",
            "Default execution backend (`serial`, `thread`, `process`, "
-           "optionally `:N`) when `PDSLin(backend=None)`."),
+           "optionally `:N`) when `RuntimeOptions(backend=None)`."),
     EnvVar("REPRO_WORKERS", "int",
            "Worker count for the backend chosen via `REPRO_BACKEND`.",
            minimum=1, noun="a positive integer",

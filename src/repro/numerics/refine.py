@@ -122,7 +122,8 @@ def refine(A: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
            on_stall: Optional[Callable[[], bool]] = None,
            ) -> tuple[np.ndarray, CertifiedAccuracy]:
     """Refine ``x0`` until the componentwise backward error reaches
-    ``tol``, stagnates, or ``maxiter`` correction solves are spent.
+    ``tol``, stagnates, or ``maxiter`` correction solves are spent —
+    the one-column case of :func:`refine_block`.
 
     ``solve(r)`` must return an (approximate) solution of ``A d = r``.
     On stagnation, ``on_stall()`` is consulted: returning True means
@@ -131,42 +132,13 @@ def refine(A: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
     returning False — or a second stall — ends refinement. The best
     iterate seen (smallest berr) is the one returned.
     """
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x0, dtype=np.float64).copy()
-    berr, nberr = backward_errors(A, x, b)
-    history = [berr]
-    best_x, best = x, (berr, nberr)
-    steps = 0
-    stagnated = False
-    escalations = 0
-    while berr > tol and steps < maxiter:
-        r = b - A @ x
-        d = np.asarray(solve(r), dtype=np.float64)
-        if not np.all(np.isfinite(d)):
-            stagnated = True
-            break
-        x = x + d
-        steps += 1
-        berr, nberr = backward_errors(A, x, b)
-        history.append(berr)
-        if berr < best[0]:
-            best_x, best = x, (berr, nberr)
-        if berr > STALL_RATIO * history[-2]:
-            if on_stall is not None and escalations == 0 \
-                    and berr > certify_tol and on_stall():
-                escalations += 1
-                continue
-            stagnated = berr > tol
-            break
-    berr, nberr = best
-    x = best_x
-    ferr = cond_est * nberr if np.isfinite(cond_est) else float("nan")
-    acc = CertifiedAccuracy(
-        berr=berr, nberr=nberr, cond_est=float(cond_est), ferr_bound=ferr,
-        refine_steps=steps, certified=bool(berr <= certify_tol),
-        certify_tol=certify_tol, stagnated=stagnated,
-        escalations=escalations, berr_history=history)
-    return x, acc
+    X, accs = refine_block(
+        A, np.asarray(b, dtype=np.float64)[:, None],
+        np.asarray(x0, dtype=np.float64)[:, None],
+        lambda R: np.asarray(solve(R[:, 0]), dtype=np.float64)[:, None],
+        tol=tol, certify_tol=certify_tol, maxiter=maxiter,
+        cond_est=cond_est, on_stall=on_stall)
+    return X[:, 0], accs[0]
 
 
 def refine_block(A: sp.spmatrix, B: np.ndarray, X0: np.ndarray,
@@ -177,17 +149,22 @@ def refine_block(A: sp.spmatrix, B: np.ndarray, X0: np.ndarray,
                  cond_est: float = float("nan"),
                  on_stall: Optional[Callable[[], bool]] = None,
                  ) -> tuple[np.ndarray, list[CertifiedAccuracy]]:
-    """Columnwise :func:`refine` over a block of right-hand sides.
+    """Fixed-precision iterative refinement of every column of ``X0``
+    until its componentwise backward error reaches ``tol``, stagnates,
+    or ``maxiter`` correction solves are spent on it.
 
     ``solve_block(R)`` must return (approximate) solutions of
     ``A D = R`` for a residual matrix whose columns are the still-active
     right-hand sides; one such block correction solve is spent per
     refinement sweep instead of one solve per column. Each column runs
-    the exact :func:`refine` state machine — same stall test, best-
-    iterate tracking, and non-finite handling — so when the block
-    correction solve is columnwise bit-identical to the single-column
-    solve (the direct-path contract), the refined columns are
-    bit-identical to per-column :func:`refine`. ``on_stall`` is shared:
+    its own state machine — stall test, best-iterate tracking (the
+    smallest-berr iterate is the one returned), non-finite handling —
+    so when the block correction solve is columnwise bit-identical to
+    the single-column solve (the direct-path contract), the refined
+    columns are bit-identical to refining each column alone. On a
+    stall ``on_stall()`` is consulted: True means the caller
+    strengthened the inner solver and refinement continues; False — or
+    a second stall of that column — ends it. ``on_stall`` is shared:
     the first stalled column consults it (a global escalation such as a
     preconditioner rebuild), matching the sequential-column behaviour
     where one escalation serves all later columns.

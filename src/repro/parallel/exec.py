@@ -39,7 +39,7 @@ duplicates outstanding tasks once they run longer than a quantile of
 the completed ones. The first copy to finish wins; ties break toward
 the primary submission, deterministically, so backend bit-parity holds.
 
-Selection: ``PDSLin(backend=...)`` takes an :class:`Executor`, a spec
+Selection: ``RuntimeOptions(backend=...)`` takes an :class:`Executor`, a spec
 string (``"serial"``, ``"thread"``, ``"process"``, ``"process:4"``) or
 ``None`` to consult the ``REPRO_BACKEND`` environment variable (worker
 count from ``REPRO_WORKERS``; ``REPRO_MP_START`` overrides the

@@ -21,9 +21,7 @@ yields the per-stage makespans and balance ratios the paper reports.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -50,17 +48,15 @@ from repro.numerics.pipeline import (
     prepare_system,
     retarget_system,
 )
-from repro.numerics.refine import CertifiedAccuracy, refine, refine_block
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.numerics.refine import CertifiedAccuracy, refine_block
+from repro.obs.tracer import NULL_TRACER
 from repro.ordering import minimum_degree
 from repro.parallel import RECOVER_STAGE, SimulatedMachine
 from repro.parallel.costmodel import record_model_skew
-from repro.parallel.exec import Executor, SpeculationPolicy, resolve_backend
+from repro.parallel.exec import SpeculationPolicy, resolve_backend
 from repro.resilience import (
     DEGRADING_ACTIONS,
     CheckpointManager,
-    CheckpointPolicy,
-    FaultPlan,
     InjectedFault,
     KrylovBreakdownError,
     RecoveryReport,
@@ -117,10 +113,6 @@ __all__ = ["PDSLinConfig", "RuntimeOptions", "SubdomainComputation",
            "PDSLinResult", "BlockResult", "PDSLin"]
 
 RHS_ORDERINGS = ("natural", "postorder", "hypergraph")
-
-# sentinel distinguishing "keyword not passed" from an explicit None for
-# the deprecated per-knob runtime keywords of PDSLin.__init__
-_UNSET = object()
 
 
 @dataclass
@@ -405,9 +397,9 @@ class PDSLin:
                             task_deadline_s=30.0)
         solver = PDSLin(A, config, runtime=rt)
 
-    The historical per-knob keywords (``tracer=``, ``backend=``, ...)
-    still work but emit :class:`DeprecationWarning`; when both are
-    given, an explicit keyword overrides the same field of ``runtime``.
+    ``runtime=`` is the only way in: the per-knob constructor keywords
+    of earlier versions (``tracer=``, ``backend=``, ...) are gone and
+    raise ``TypeError``. The names below are ``RuntimeOptions`` fields.
 
     Pass a :class:`repro.obs.Tracer` to record real wall-clock spans and
     counters for every pipeline stage (partition, per-subdomain
@@ -421,12 +413,14 @@ class PDSLin:
     ``REPRO_BACKEND``). Every backend reduces in a fixed order and is
     bit-identical to serial; the :class:`SimulatedMachine` accounting is
     fed from worker-measured wall times, and worker tracer spans merge
-    into the parent trace on per-process tracks. Single-RHS
-    :meth:`solve` stays inline on every backend (its per-subdomain
-    triangular solves are millisecond-scale, far below process-shipping
-    cost); :meth:`solve_block` amortizes one fan-out per solve stage
-    over the whole right-hand-side block, so pooled backends ship each
-    subdomain's factors once per stage instead of once per column.
+    into the parent trace on per-process tracks. There is one solve
+    path: :meth:`solve` is :meth:`solve_block` on an ``(n, 1)`` block.
+    Where the per-subdomain triangular solves run is decided in one
+    place, :meth:`_block_subdomain_solves`, from the block width: a
+    one-column block stays inline on every backend (millisecond-scale
+    solves, far below process-shipping cost), a wider block is one
+    fan-out per solve stage, so pooled backends ship each subdomain's
+    factors once per stage instead of once per column.
 
     Resilience: an optional :class:`repro.resilience.FaultPlan` arms
     seeded fault injection on the simulated machine, and the recovery
@@ -459,55 +453,9 @@ class PDSLin:
 
     def __init__(self, A: sp.spmatrix, config: PDSLinConfig | None = None, *,
                  M: sp.spmatrix | None = None,
-                 runtime: RuntimeOptions | None = None,
-                 tracer: "Tracer | None" = _UNSET,
-                 fault_plan: "FaultPlan | None" = _UNSET,
-                 retry_policy: "RetryPolicy | None" = _UNSET,
-                 verify: "bool | Verifier" = _UNSET,
-                 backend: "Executor | str | None" = _UNSET,
-                 checkpoint: "CheckpointManager | str | None" = _UNSET,
-                 checkpoint_policy: "CheckpointPolicy | None" = _UNSET,
-                 resume: "str | None" = _UNSET,
-                 task_deadline_s: "float | None" = _UNSET,
-                 speculation: "SpeculationPolicy | bool | None" = _UNSET):
-        # -- runtime options: one RuntimeOptions value, with the legacy
-        # per-knob keywords still accepted as deprecated shims
-        legacy = {
-            name: value
-            for name, value in (("tracer", tracer),
-                                ("fault_plan", fault_plan),
-                                ("retry_policy", retry_policy),
-                                ("verify", verify),
-                                ("backend", backend),
-                                ("checkpoint", checkpoint),
-                                ("checkpoint_policy", checkpoint_policy),
-                                ("resume", resume),
-                                ("task_deadline_s", task_deadline_s),
-                                ("speculation", speculation))
-            if value is not _UNSET
-        }
-        if legacy:
-            names = ", ".join(sorted(legacy))
-            warnings.warn(
-                f"PDSLin keyword(s) {names} are deprecated; pass "
-                f"runtime=RuntimeOptions({names}=...) instead",
-                DeprecationWarning, stacklevel=2)
+                 runtime: RuntimeOptions | None = None):
         rt = runtime if runtime is not None else RuntimeOptions()
-        if legacy:
-            # explicit per-knob keywords win over the same field on a
-            # RuntimeOptions passed alongside them
-            rt = dataclasses.replace(rt, **legacy)
         self.runtime = rt
-        tracer = rt.tracer
-        fault_plan = rt.fault_plan
-        retry_policy = rt.retry_policy
-        verify = rt.verify
-        backend = rt.backend
-        checkpoint = rt.checkpoint
-        checkpoint_policy = rt.checkpoint_policy
-        resume = rt.resume
-        task_deadline_s = rt.task_deadline_s
-        speculation = rt.speculation
 
         self.A_input = check_csr(A)
         check_square(self.A_input, "A")
@@ -517,21 +465,22 @@ class PDSLin:
         self.A = self.A_input
         self.config = config or PDSLinConfig()
         self.M = M  # optional structural factor for RHB
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = rt.tracer if rt.tracer is not None else NULL_TRACER
         # verify=True arms the post-stage invariant checks of
         # repro.verify (a custom Verifier may be passed directly);
         # the default NULL_VERIFIER makes every hook a no-op
-        if isinstance(verify, Verifier):
-            self.verifier = verify
+        if isinstance(rt.verify, Verifier):
+            self.verifier = rt.verify
         else:
-            self.verifier = Verifier() if verify else NULL_VERIFIER
-        self.machine = SimulatedMachine(self.config.k, fault_plan=fault_plan)
-        self.backend = resolve_backend(backend)
+            self.verifier = Verifier() if rt.verify else NULL_VERIFIER
+        self.machine = SimulatedMachine(self.config.k,
+                                        fault_plan=rt.fault_plan)
+        self.backend = resolve_backend(rt.backend)
         # pattern-keyed memo for the symbolic analyses (subdomain
         # ordering, Schur MD permutation): update_matrix() reruns the
         # numeric phases on a fixed pattern, so these are pure replays
         self.analysis_cache = SymbolicCache()
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = rt.retry_policy or RetryPolicy()
         self.recovery = RecoveryReport(
             preconditioner_mode=self.config.schur_factorization)
         self.partition: DBBDPartition | None = None
@@ -551,24 +500,26 @@ class PDSLin:
         self._schur_drop_used = self.config.drop_schur
         self.cond_estimates: dict = {"subdomains": {}, "schur": None}
         # -- checkpoint/restart + straggler mitigation
-        if task_deadline_s is not None and task_deadline_s <= 0.0:
+        if rt.task_deadline_s is not None and rt.task_deadline_s <= 0.0:
             raise ValueError("task_deadline_s must be positive")
-        self.task_deadline_s = task_deadline_s
+        self.task_deadline_s = rt.task_deadline_s
+        speculation = rt.speculation
         if speculation is True:
             speculation = SpeculationPolicy()
         elif speculation is False:
             speculation = None
         self.speculation: SpeculationPolicy | None = speculation
-        if isinstance(checkpoint, CheckpointManager):
-            self._ckpt: CheckpointManager | None = checkpoint
+        if isinstance(rt.checkpoint, CheckpointManager):
+            self._ckpt: CheckpointManager | None = rt.checkpoint
             if self._ckpt.tracer is NULL_TRACER:
                 self._ckpt.tracer = self.tracer
-        elif checkpoint is not None:
+        elif rt.checkpoint is not None:
             self._ckpt = CheckpointManager(
-                checkpoint, policy=checkpoint_policy, tracer=self.tracer)
+                rt.checkpoint, policy=rt.checkpoint_policy,
+                tracer=self.tracer)
         else:
             self._ckpt = None
-        self._resume_dir = resume
+        self._resume_dir = rt.resume
         self._resume = None       # CheckpointState once loaded
         self._restored_subs: dict[int, tuple] = {}
         self._restored_schur: dict | None = None
@@ -1628,7 +1579,11 @@ class PDSLin:
         numerics transform (scaling + matching) is applied on the way
         in and undone on the way out. With the numerics layer on, the
         solution is iteratively refined against the *original* ``A``
-        and the result carries a :class:`CertifiedAccuracy` block."""
+        and the result carries a :class:`CertifiedAccuracy` block.
+
+        This is the one-column case of :meth:`solve_block` — the same
+        pass, refinement and certification over an ``(n, 1)`` block —
+        traced under ``solve`` / ``refine`` spans."""
         b = np.asarray(b, dtype=np.float64)
         check_finite(b, "b")
         if not self._is_setup:
@@ -1637,19 +1592,8 @@ class PDSLin:
             raise ValueError(f"b must have shape "
                              f"({self.A_input.shape[0]},)")
         with self.tracer.span("solve"):
-            res = self._solve(self._to_working_rhs(b))
-            res.x = self._from_working_solution(res.x)
-            res = self._finalize(b, res)
-            self.verifier.after_solve(self.A_input, b, res.x,
-                                      res.residual_norm)
-            return res
-
-    def _correction_solve(self, r: np.ndarray) -> np.ndarray:
-        """Approximate ``A d = r`` in the original system — one full
-        hybrid pass through the working system, used as the inner
-        solver of iterative refinement."""
-        res = self._solve(self._to_working_rhs(r))
-        return self._from_working_solution(res.x)
+            _, results, _ = self._solve_columns(b[:, None], "refine")
+        return results[0]
 
     def _cond_for_bound(self) -> float:
         """The condition estimate entering the forward-error bound: the
@@ -1680,39 +1624,6 @@ class PDSLin:
                               action="precond-refresh"):
             self._refresh_schur_preconditioner()
         return True
-
-    def _finalize(self, b: np.ndarray, res: PDSLinResult) -> PDSLinResult:
-        """Post-solve certification in the original system: iterative
-        refinement (with stall escalation), the CertifiedAccuracy
-        block, and the true residual norm of ``A_input x = b``."""
-        cfg = self.config
-        if cfg.refine_maxiter > 0 or cfg.condest:
-            with self.tracer.span("refine"):
-                x, acc = refine(
-                    self.A_input, b, res.x, self._correction_solve,
-                    tol=cfg.refine_tol, certify_tol=cfg.certify_tol,
-                    maxiter=cfg.refine_maxiter,
-                    cond_est=self._cond_for_bound(),
-                    on_stall=self._on_refine_stall)
-                self.tracer.count("refine_steps", acc.refine_steps)
-                self.tracer.count("refine_certified", int(acc.certified))
-            res.x = x
-            res.accuracy = acc
-            if acc.stagnated and not acc.certified:
-                # escalation exhausted and still uncertified: this is a
-                # degraded answer, say so through the recovery report
-                self._record(
-                    "Refine", "refine-stall",
-                    RefinementStallError("refinement stagnated "
-                                         "uncertified", berr=acc.berr),
-                    detail=f"berr={acc.berr:.2e} after "
-                           f"{acc.refine_steps} steps "
-                           f"({acc.escalations} escalations)")
-            self.recovery.accuracy = acc.to_dict()
-        r = b - self.A_input @ res.x
-        res.residual_norm = float(np.linalg.norm(r)
-                                  / max(np.linalg.norm(b), 1e-300))
-        return res
 
     def _solve_schur_system(self, matvec, g: np.ndarray, *,
                             x0: np.ndarray | None = None):
@@ -1840,11 +1751,6 @@ class PDSLin:
                             "warm-restarted from the flagged iterate")
         return fresh
 
-    def _solve(self, b: np.ndarray) -> PDSLinResult:
-        """One hybrid solve in the working system, wrapped in the
-        solve-phase ABFT sweep (see :meth:`_run_with_factor_sweep`)."""
-        return self._run_with_factor_sweep(lambda: self._solve_once(b))
-
     def _run_with_factor_sweep(self, run_once: Callable):
         """Run one solve pass under the solve-phase ABFT sweep: every
         triangular solve through the subdomain factors ran a passive
@@ -1911,94 +1817,34 @@ class PDSLin:
                                 "interface matrix; solve pass redone")
         return res
 
-    def _solve_once(self, b: np.ndarray) -> PDSLinResult:
-        cfg = self.config
-        assert self.partition is not None
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.A.shape[0],):
-            raise ValueError(f"b must have shape ({self.A.shape[0]},)")
-        plan = self.solve_plan
-        sep = self.partition.separator_vertices
-        x = np.zeros_like(b)
-
-        if sep.size == 0:
-            # no separator: decoupled subdomain solves
-            with self.machine.on_root("Solve"):
-                for s in self.subdomains:
-                    v = s.interfaces.vertices
-                    fl = b[v]
-                    x[v[s.perm]] = s.factors.solve(fl[s.perm])
-            g_res = GMRESResult(x=np.empty(0), converged=True, iterations=0)
-            res_norm = float(np.linalg.norm(self.A @ x - b)
-                             / max(np.linalg.norm(b), 1e-300))
-            return PDSLinResult(x=x, converged=True, iterations=0,
-                                residual_norm=res_norm, schur_size=0,
-                                machine=self.machine, gmres=g_res,
-                                recovery=self.recovery)
-
-        g = b[sep].copy()
-        # g^ = g - sum F_l D_l^{-1} f_l
-        d_solutions: list[np.ndarray] = []
-
-        def forward_body_for(s, Fp):
-            def body(ledger):
-                v = s.interfaces.vertices
-                fl = b[v]
-                ul = s.factors.solve(fl[s.perm])  # in permuted coords
-                return ul, Fp @ ul
-            return body
-
-        for s, Fp in zip(self.subdomains, plan.F_perm):
-            ul, g_corr = self._on_subdomain(s.interfaces.ell, "Solve",
-                                            forward_body_for(s, Fp))
-            d_solutions.append(ul)
-            g[s.interfaces.f_rows] -= g_corr
-
-        matvec = plan.matvec
-        g_res = self._solve_schur_system(matvec, g)
-        self.verifier.after_krylov(matvec, g, g_res)
-        y = g_res.x
-        x[sep] = y
-
-        # back substitution: u_l = D^{-1}(f_l - E_l y)
-        def backward_body_for(s, Ep, ul0):
-            def body(ledger):
-                rhs_corr = Ep @ y[s.interfaces.e_cols]
-                return ul0 - s.factors.solve(rhs_corr)
-            return body
-
-        for s, Ep, ul0 in zip(self.subdomains, plan.E_perm, d_solutions):
-            ul = self._on_subdomain(s.interfaces.ell, "Solve",
-                                    backward_body_for(s, Ep, ul0))
-            x[s.interfaces.vertices[s.perm]] = ul
-
-        res_norm = float(np.linalg.norm(self.A @ x - b)
-                         / max(np.linalg.norm(b), 1e-300))
-        return PDSLinResult(x=x, converged=g_res.converged,
-                            iterations=g_res.iterations,
-                            residual_norm=res_norm,
-                            schur_size=int(sep.size),
-                            machine=self.machine, gmres=g_res,
-                            recovery=self.recovery)
-
     # -- batched multi-RHS solve ------------------------------------------
 
     def _block_subdomain_solves(
             self, rhs_blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Batched triangular solves ``D_l^{-1} R_l`` across all
         subdomains — ONE backend fan-out for the whole right-hand-side
-        block (the forward and backward substitution passes of
-        :meth:`solve_block` both ship through here). Inline backends
-        run each subdomain under the usual injected-fault ladder;
-        pooled backends ship :class:`BlockSolveTask` units and keep the
-        setup fan-out's failover semantics (crash / transport-checksum
-        / deadline -> redo on root). SuperLU batched solves are
-        columnwise bit-identical to single-column solves, so column
-        ``j`` here matches ``solve(B[:, j])`` bit for bit."""
-        if self.backend.inline:
+        block (the forward and backward substitution passes of every
+        solve ship through here). Inline backends run each subdomain
+        under the usual injected-fault ladder; pooled backends ship
+        :class:`BlockSolveTask` units and keep the setup fan-out's
+        failover semantics (crash / transport-checksum / deadline ->
+        redo on root). SuperLU batched solves are columnwise
+        bit-identical to single-column solves, so column ``j`` here
+        matches a one-column solve of ``B[:, j]`` bit for bit.
+
+        A one-column block — every :meth:`solve`, and a
+        :meth:`solve_block` of width 1 — stays inline on every backend
+        and goes through the factors as a 1-D vector: its triangular
+        solves are millisecond-scale, 5-8x below what shipping the
+        factors to a pool costs, and the 1-D SuperLU / checksum-audit
+        calls are the cheap ones."""
+        one_column = rhs_blocks[0].shape[1] == 1
+        if self.backend.inline or one_column:
             outs = []
             for s, rhs in zip(self.subdomains, rhs_blocks):
                 def body(ledger, s=s, rhs=rhs):
+                    if one_column:
+                        return s.factors.solve(rhs[:, 0])[:, None]
                     return s.factors.solve(rhs)
                 outs.append(self._on_subdomain(s.interfaces.ell, "Solve",
                                                body))
@@ -2203,11 +2049,9 @@ class PDSLin:
         return results, Y
 
     def _solve_block_once(self, B: np.ndarray) -> _BlockSolve:
-        """One batched hybrid pass in the working system — the block
-        mirror of :meth:`_solve_once`: batched forward substitution
-        through the subdomain factors, per-column (or block) Krylov on
-        the Schur system, batched back substitution."""
-        cfg = self.config
+        """One hybrid pass in the working system: batched forward
+        substitution through the subdomain factors, per-column (or
+        block) Krylov on the Schur system, batched back substitution."""
         assert self.partition is not None
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != self.A.shape[0]:
@@ -2233,9 +2077,11 @@ class PDSLin:
         rhs_blocks = [B[s.interfaces.vertices][s.perm]
                       for s in self.subdomains]
         d_solutions = self._block_subdomain_solves(rhs_blocks)
-        with self.machine.on_root("Solve"):
+
+        def fold_forward(ledger):
             for s, Fp, UL in zip(self.subdomains, plan.F_perm, d_solutions):
                 G[s.interfaces.f_rows] -= Fp @ UL
+        self._on_root_stage("Solve", fold_forward)
         matvec = plan.matvec
         results, Y = self._solve_schur_block(matvec, G)
         for j in range(nrhs):
@@ -2243,38 +2089,38 @@ class PDSLin:
         X[sep] = Y
 
         # back substitution: U_l = D^{-1}(F_l - E_l Y), again batched
-        with self.machine.on_root("Solve"):
-            rhs2 = [Ep @ Y[s.interfaces.e_cols]
-                    for s, Ep in zip(self.subdomains, plan.E_perm)]
+        rhs2 = self._on_root_stage("Solve", lambda ledger: [
+            Ep @ Y[s.interfaces.e_cols]
+            for s, Ep in zip(self.subdomains, plan.E_perm)])
         corrections = self._block_subdomain_solves(rhs2)
         for s, UL0, DL in zip(self.subdomains, d_solutions, corrections):
             X[s.interfaces.vertices[s.perm]] = UL0 - DL
         return _BlockSolve(X=X, gmres=results, schur_size=int(sep.size))
 
     def _solve_block(self, B: np.ndarray) -> _BlockSolve:
-        """One batched hybrid solve in the working system, under the
-        same solve-phase ABFT sweep as :meth:`_solve`."""
+        """One hybrid solve in the working system, wrapped in the
+        solve-phase ABFT sweep (see :meth:`_run_with_factor_sweep`)."""
         return self._run_with_factor_sweep(
             lambda: self._solve_block_once(B))
 
     def _correction_solve_block(self, R: np.ndarray) -> np.ndarray:
-        """Block counterpart of :meth:`_correction_solve`: approximate
-        ``A D = R`` columnwise with one batched hybrid pass — the inner
-        solver of blockwise iterative refinement."""
+        """Approximate ``A D = R`` columnwise in the original system —
+        one full hybrid pass through the working system, used as the
+        inner solver of iterative refinement."""
         blk = self._solve_block(self._to_working_rhs(R))
         return self._from_working_solution(blk.X)
 
-    def _finalize_block(self, B: np.ndarray, X: np.ndarray):
-        """Post-solve certification for a block — columnwise
-        :meth:`_finalize` semantics off a single residual matrix:
-        blockwise iterative refinement (one batched correction solve
-        per sweep instead of one solve per column), per-column
+    def _finalize_block(self, B: np.ndarray, X: np.ndarray,
+                        refine_span: str):
+        """Post-solve certification in the original system, columnwise
+        off a single residual matrix: iterative refinement with stall
+        escalation (one batched correction solve per sweep), per-column
         CertifiedAccuracy, and the true per-column residual norms of
         ``A_input X = B``."""
         cfg = self.config
         accs: list[CertifiedAccuracy] | None = None
         if cfg.refine_maxiter > 0 or cfg.condest:
-            with self.tracer.span("refine_block", nrhs=B.shape[1]):
+            with self.tracer.span(refine_span, nrhs=B.shape[1]):
                 X, accs = refine_block(
                     self.A_input, B, X, self._correction_solve_block,
                     tol=cfg.refine_tol, certify_tol=cfg.certify_tol,
@@ -2287,6 +2133,9 @@ class PDSLin:
                                       int(acc.certified))
             for j, acc in enumerate(accs):
                 if acc.stagnated and not acc.certified:
+                    # escalation exhausted and still uncertified: this
+                    # is a degraded answer, say so through the recovery
+                    # report
                     self._record(
                         "Refine", "refine-stall",
                         RefinementStallError("refinement stagnated "
@@ -2304,6 +2153,30 @@ class PDSLin:
                      for j in range(B.shape[1])]
         return X, accs, res_norms
 
+    def _solve_columns(self, B: np.ndarray, refine_span: str):
+        """The solve phase behind both public entry points: one hybrid
+        pass over the ``(n, nrhs)`` block ``B``, refinement and
+        certification (traced as ``refine_span``), and one
+        :class:`PDSLinResult` per column. Returns ``(X, results,
+        accuracies)``."""
+        blk = self._solve_block(self._to_working_rhs(B))
+        X = self._from_working_solution(blk.X)
+        X, accs, res_norms = self._finalize_block(B, X, refine_span)
+        results = []
+        for j in range(B.shape[1]):
+            res = PDSLinResult(
+                x=X[:, j].copy(), converged=blk.gmres[j].converged,
+                iterations=blk.gmres[j].iterations,
+                residual_norm=res_norms[j],
+                schur_size=blk.schur_size, machine=self.machine,
+                gmres=blk.gmres[j], recovery=self.recovery)
+            if accs is not None:
+                res.accuracy = accs[j]
+            self.verifier.after_solve(self.A_input, B[:, j], X[:, j],
+                                      res_norms[j])
+            results.append(res)
+        return X, results, accs
+
     def solve_block(self, B: np.ndarray) -> BlockResult:
         """Solve ``A X = B`` for a block of right-hand sides in one
         batched pass (setup() is run on demand). Rejects ``B``
@@ -2313,13 +2186,13 @@ class PDSLin:
         exposes the ``(n, nrhs)`` solution block ``.X`` and the
         aggregate accuracy certificate ``.accuracy``.
 
-        Where :meth:`solve` dispatches, substitutes, and refines one
-        column at a time, this path amortizes every stage over the
-        block: one backend fan-out per substitution pass carrying all
-        columns (factors ship once, not once per column), Schur solves
-        seeded column-to-column (``krylov_seed``; or one block-GMRES
-        run with ``block_gmres=True``), blockwise iterative refinement
-        off a single residual matrix, and one vectorized ABFT audit
+        Every stage is amortized over the block: one backend fan-out
+        per substitution pass carrying all columns (factors ship once,
+        not once per column; a one-column block stays inline, see
+        :meth:`_block_subdomain_solves`), Schur solves seeded
+        column-to-column (``krylov_seed``; or one block-GMRES run with
+        ``block_gmres=True``), blockwise iterative refinement off a
+        single residual matrix, and one vectorized ABFT audit
         ``1^T A X = 1^T B`` per triangular-solve block.
 
         Parity contract: column ``j`` of the returned solutions is
@@ -2343,38 +2216,12 @@ class PDSLin:
                                results=[])
         t0 = time.perf_counter()
         with self.tracer.span("solve_block", nrhs=nrhs):
-            blk = self._solve_block(self._to_working_rhs(B))
-            X = self._from_working_solution(blk.X)
-            X, accs, res_norms = self._finalize_block(B, X)
-            out = []
-            for j in range(nrhs):
-                res = PDSLinResult(
-                    x=X[:, j].copy(), converged=blk.gmres[j].converged,
-                    iterations=blk.gmres[j].iterations,
-                    residual_norm=res_norms[j],
-                    schur_size=blk.schur_size, machine=self.machine,
-                    gmres=blk.gmres[j], recovery=self.recovery)
-                if accs is not None:
-                    res.accuracy = accs[j]
-                self.verifier.after_solve(self.A_input, B[:, j], X[:, j],
-                                          res_norms[j])
-                out.append(res)
+            X, results, accs = self._solve_columns(B, "refine_block")
         wall = time.perf_counter() - t0
         if wall > 0.0:
             self.tracer.count("noise:rhs_per_s", nrhs / wall)
-        return BlockResult(X=X, results=out,
+        return BlockResult(X=X, results=results,
                            accuracy=BlockResult.aggregate_accuracy(accs))
 
-    def solve_multiple(self, B: np.ndarray) -> BlockResult:
-        """Solve ``A x_j = B[:, j]`` for every column, reusing the setup
-        (the factorizations amortize across right-hand sides). Rejects
-        ``B`` containing NaN/Inf.
-
-        Delegates to the batched :meth:`solve_block` path: one fan-out
-        per substitution stage carrying all columns instead of one full
-        :meth:`solve` per column."""
-        B = np.asarray(B, dtype=np.float64)
-        if B.ndim != 2 or B.shape[0] != self.A.shape[0]:
-            raise ValueError(f"B must be ({self.A.shape[0]}, nrhs)")
-        check_finite(B, "B")
-        return self.solve_block(B)
+    #: historical name of :meth:`solve_block`
+    solve_multiple = solve_block

@@ -17,8 +17,8 @@ The fields split *what* to solve (``PDSLinConfig``: drop tolerances,
 partitioner, Krylov method — part of the solver's numeric identity and
 of checkpoint/session fingerprints) from *how* to run it
 (``RuntimeOptions``: observability, execution backend, resilience
-machinery — none of which changes the answer). The old per-knob
-keywords still work as thin shims that emit ``DeprecationWarning``.
+machinery — none of which changes the answer). ``runtime=`` is the only
+way to pass them: ``PDSLin(A, cfg, tracer=...)`` is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -79,6 +79,6 @@ class RuntimeOptions:
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
-        """The consolidated option names, in declaration order (the
-        legacy ``PDSLin`` keywords shimmed onto this class)."""
+        """The option names, in declaration order (what
+        :func:`repro.solve` routes to ``runtime=`` by name)."""
         return tuple(f.name for f in fields(cls))

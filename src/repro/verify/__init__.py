@@ -5,8 +5,8 @@ Three layers:
 - :mod:`repro.verify.oracles` — independent reference implementations
   (dense/scipy/plain-Python) of every hot kernel;
 - :mod:`repro.verify.invariants` — pluggable post-stage assertions,
-  armed through ``PDSLin(..., verify=True)`` and the partitioners'
-  ``verify=`` flags;
+  armed through ``PDSLin(..., runtime=RuntimeOptions(verify=True))``
+  and the partitioners' ``verify=`` flags;
 - :mod:`repro.verify.differential` / :mod:`repro.verify.fuzz` — whole-
   pipeline differential checks and the seeded fuzz harness
   (``python -m repro.verify.fuzz``).

@@ -344,7 +344,7 @@ class TestRobustSuiteTolerances:
         b = rng.standard_normal(A.shape[0])
         tr = Tracer()
         solver = PDSLin(A, PDSLinConfig(k=2, seed=0, abft="detect"),
-                        tracer=tr, backend=backend)
+                        runtime=RuntimeOptions(tracer=tr, backend=backend))
         try:
             res = solver.solve(b)
         finally:
@@ -484,7 +484,8 @@ class TestEndToEndDrills:
         A, b = _smoke_problem()
         _arm("lu", seed=9, subdomain=1)
         tr = Tracer()
-        res = PDSLin(A, _drill_cfg("detect"), tracer=tr).solve(b)
+        res = PDSLin(A, _drill_cfg("detect"),
+                     runtime=RuntimeOptions(tracer=tr)).solve(b)
         actions = [e.action for e in res.recovery.events]
         assert tr.counters.get("sdc_detected", 0) >= 1
         assert tr.counters.get("sdc_recovered", 0) == 0
@@ -498,7 +499,8 @@ class TestEndToEndDrills:
         ref = PDSLin(A, _drill_cfg("detect+recover")).solve(b)
         _arm("schur", seed=7, subdomain=1)
         tr = Tracer()
-        res = PDSLin(A, _drill_cfg("detect+recover"), tracer=tr).solve(b)
+        res = PDSLin(A, _drill_cfg("detect+recover"),
+                     runtime=RuntimeOptions(tracer=tr)).solve(b)
         assert tr.counters.get("sdc_recovered", 0) >= 1
         assert not res.degraded and res.certified
         assert res.x.tobytes() == ref.x.tobytes()

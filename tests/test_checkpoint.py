@@ -39,7 +39,7 @@ from repro.resilience.checkpoint import (
     unpack_sparse,
 )
 from repro.resilience.retry import RetryPolicy
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.solver.partasks import (
     ENV_CRASH_SUBDOMAIN,
     ENV_STRAGGLE_S,
@@ -181,10 +181,12 @@ class TestIntegrity:
 
     def test_resume_with_wrong_matrix_refused(self, tmp_path, grid16):
         b = _rhs(grid16)
-        PDSLin(grid16, _cfg(), checkpoint=tmp_path).solve(b)
+        PDSLin(grid16, _cfg(),
+               runtime=RuntimeOptions(checkpoint=tmp_path)).solve(b)
         other = grid_laplacian(16, 16, diag=5.0)
         with pytest.raises(CheckpointError, match="different matrix"):
-            PDSLin(other, _cfg(), resume=tmp_path).solve(_rhs(other))
+            PDSLin(other, _cfg(),
+                   runtime=RuntimeOptions(resume=tmp_path)).solve(_rhs(other))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +197,8 @@ class TestResumeParity:
     def test_checkpointed_solve_writes_full_manifest(self, tmp_path,
                                                      grid16):
         tracer = Tracer()
-        res = PDSLin(grid16, _cfg(), tracer=tracer,
-                     checkpoint=tmp_path).solve(_rhs(grid16))
+        rt = RuntimeOptions(tracer=tracer, checkpoint=tmp_path)
+        res = PDSLin(grid16, _cfg(), runtime=rt).solve(_rhs(grid16))
         assert res.converged
         st = load_checkpoint(tmp_path)
         assert st.partition_done
@@ -211,16 +213,19 @@ class TestResumeParity:
     def test_truncated_resume_bit_identical(self, tmp_path, grid16,
                                             backend):
         b = _rhs(grid16)
-        ref = PDSLin(grid16, _cfg(), backend="serial").solve(b)
-        PDSLin(grid16, _cfg(), backend=backend,
-               checkpoint=tmp_path).solve(b)
+        ref = PDSLin(grid16, _cfg(),
+                     runtime=RuntimeOptions(backend="serial")).solve(b)
+        PDSLin(grid16, _cfg(),
+               runtime=RuntimeOptions(backend=backend,
+                                      checkpoint=tmp_path)).solve(b)
         truncate_checkpoint(tmp_path, 2)
         st = load_checkpoint(tmp_path)
         assert st.subdomains_done == [0, 1]
         assert not st.schur_done
         tracer = Tracer()
-        res = PDSLin(grid16, _cfg(), backend=backend, resume=tmp_path,
-                     checkpoint=tmp_path, tracer=tracer).solve(b)
+        rt = RuntimeOptions(backend=backend, resume=tmp_path,
+                            checkpoint=tmp_path, tracer=tracer)
+        res = PDSLin(grid16, _cfg(), runtime=rt).solve(b)
         assert res.x.tobytes() == ref.x.tobytes()
         assert res.iterations == ref.iterations
         # only the unfinished half was refactored
@@ -233,10 +238,12 @@ class TestResumeParity:
 
     def test_full_resume_refactors_nothing(self, tmp_path, grid16):
         b = _rhs(grid16)
-        ref = PDSLin(grid16, _cfg(), checkpoint=tmp_path).solve(b)
+        ref = PDSLin(grid16, _cfg(),
+                     runtime=RuntimeOptions(checkpoint=tmp_path)).solve(b)
         tracer = Tracer()
-        res = PDSLin(grid16, _cfg(), resume=tmp_path, tracer=tracer,
-                     checkpoint=tmp_path).solve(b)
+        res = PDSLin(grid16, _cfg(),
+                     runtime=RuntimeOptions(resume=tmp_path, tracer=tracer,
+                                            checkpoint=tmp_path)).solve(b)
         assert res.x.tobytes() == ref.x.tobytes()
         assert tracer.counters["checkpoint_subdomains_restored"] == 4
         assert tracer.counters["checkpoint_schur_restored"] == 1
@@ -246,7 +253,8 @@ class TestResumeParity:
     def test_update_matrix_invalidates_resume_state(self, tmp_path,
                                                     grid16):
         b = _rhs(grid16)
-        solver = PDSLin(grid16, _cfg(), checkpoint=tmp_path)
+        solver = PDSLin(grid16, _cfg(),
+                        runtime=RuntimeOptions(checkpoint=tmp_path))
         solver.solve(b)
         other = grid_laplacian(16, 16, diag=5.0)
         solver.update_matrix(other)

@@ -19,12 +19,12 @@ from tests.conftest import grid_laplacian, random_unsymmetric
 
 from repro.numerics.refine import refine, refine_block
 from repro.obs import Tracer
-from repro.resilience import abft
+from repro.resilience import FaultPlan, FaultSpec, abft
 from repro.resilience.checkpoint import (
     SOLVE_PHASE_FIELDS,
     config_fingerprint,
 )
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 
 NRHS = 5
 
@@ -117,7 +117,8 @@ class TestParity:
     def test_throughput_counter_and_span(self):
         A = grid_laplacian(12, 12)
         tr = Tracer()
-        PDSLin(A, _cfg(), tracer=tr).solve_block(_block(A))
+        PDSLin(A, _cfg(),
+               runtime=RuntimeOptions(tracer=tr)).solve_block(_block(A))
         assert tr.counters.get("noise:rhs_per_s", 0.0) > 0.0
         assert "solve_block" in {s.name for s in tr.spans}
 
@@ -146,7 +147,7 @@ class TestBackendParity:
         A = grid_laplacian(16, 16)
         B = _block(A)
         ref = PDSLin(A, _cfg()).solve_block(B)
-        solver = PDSLin(A, _cfg(), backend=backend)
+        solver = PDSLin(A, _cfg(), runtime=RuntimeOptions(backend=backend))
         try:
             par = solver.solve_block(B)
         finally:
@@ -162,7 +163,8 @@ class TestBackendParity:
         cfg = dict(abft="detect+recover")
         ref = PDSLin(A, _cfg(**cfg)).solve_block(B)
         tr = Tracer()
-        solver = PDSLin(A, _cfg(**cfg), tracer=tr, backend="process:2")
+        solver = PDSLin(A, _cfg(**cfg),
+                        runtime=RuntimeOptions(tracer=tr, backend="process:2"))
         try:
             par = solver.solve_block(B)
         finally:
@@ -182,7 +184,8 @@ class TestAbftInterplay:
         os.environ[abft.ENV_BITFLIP_SEED] = "3"
         abft.reset_bitflip_state()
         tr = Tracer()
-        solver = PDSLin(A, _cfg(abft="detect+recover"), tracer=tr)
+        solver = PDSLin(A, _cfg(abft="detect+recover"),
+                        runtime=RuntimeOptions(tracer=tr))
         res = solver.solve_block(B)
         assert tr.counters.get("sdc_detected", 0) >= 1
         assert tr.counters.get("sdc_recovered", 0) >= 1
@@ -194,7 +197,8 @@ class TestAbftInterplay:
         A = grid_laplacian(16, 16)
         B = _block(A)
         tr = Tracer()
-        solver = PDSLin(A, _cfg(abft="detect+recover"), tracer=tr)
+        solver = PDSLin(A, _cfg(abft="detect+recover"),
+                        runtime=RuntimeOptions(tracer=tr))
         solver.setup()
         clean = PDSLin(A, _cfg()).solve_block(B)
         # corrupt one subdomain's factors after setup: only the
@@ -218,6 +222,66 @@ class TestAbftInterplay:
             assert np.allclose(r.x, clean[j].x)
 
 
+class TestDispatchPolicy:
+    """Where the per-subdomain solves run is decided in one place,
+    ``_block_subdomain_solves``, from the block width: one column stays
+    inline on every backend, wider blocks fan out on pooled ones."""
+
+    @staticmethod
+    def _solver(A, backend, **runtime):
+        # one pass, no correction solves: fan-outs can be counted
+        tr = Tracer()
+        solver = PDSLin(A, _cfg(refine_maxiter=0), runtime=RuntimeOptions(
+            tracer=tr, backend=backend, **runtime)).setup()
+        shipped = []
+        pooled_map = solver.backend.map
+
+        def counting_map(fn, payloads, **kw):
+            shipped.append(len(payloads))
+            return pooled_map(fn, payloads, **kw)
+
+        solver.backend.map = counting_map
+        return solver, tr, shipped
+
+    @pytest.mark.parametrize("backend", ["thread:2", "process:2"])
+    def test_one_column_stays_inline_on_pooled_backends(self, backend):
+        A = grid_laplacian(16, 16)
+        B = _block(A, p=2)
+        ref = PDSLin(A, _cfg(refine_maxiter=0)).solve(B[:, 0])
+        solver, tr, shipped = self._solver(A, backend)
+        try:
+            one = solver.solve(B[:, 0])
+            blk1 = solver.solve_block(B[:, :1])
+            assert shipped == [] and tr.span_count("solve_fanout") == 0
+            blk2 = solver.solve_block(B)
+        finally:
+            solver.backend.close()
+        # two columns: one fan-out per substitution pass, k tasks each
+        assert shipped == [4, 4] and tr.span_count("solve_fanout") == 2
+        assert tr.span_count("solve_block") == 2
+        assert tr.span_count("solve") == 1
+        # and column 0 of the wide block is still the one-column answer
+        for x in (one.x, blk1.X[:, 0], blk2.X[:, 0]):
+            assert x.tobytes() == ref.x.tobytes()
+
+    def test_wide_block_keeps_fanout_failover(self):
+        # a permanently failing process is skipped at dispatch and its
+        # solves redone on the root, once per substitution pass
+        A = grid_laplacian(16, 16)
+        B = _block(A, p=2)
+        ref = PDSLin(A, _cfg(refine_maxiter=0)).solve_block(B)
+        plan = FaultPlan([FaultSpec("Solve", process=1, kind="permanent")])
+        solver, tr, shipped = self._solver(A, "thread:2", fault_plan=plan)
+        try:
+            blk = solver.solve_block(B)
+        finally:
+            solver.backend.close()
+        assert shipped == [3, 3] and tr.span_count("solve_fanout") == 2
+        assert solver.recovery.actions() == {"failover-root": 2}
+        assert blk.degraded and blk.converged
+        assert blk.X.tobytes() == ref.X.tobytes()
+
+
 class TestCheckpointAndReuse:
     def test_fingerprint_invariant_to_solve_phase_fields(self):
         base = config_fingerprint(_cfg())
@@ -229,8 +293,10 @@ class TestCheckpointAndReuse:
     def test_resume_then_solve_block_bit_parity(self, tmp_path):
         A = grid_laplacian(16, 16)
         B = _block(A)
-        ref = PDSLin(A, _cfg(), checkpoint=tmp_path).solve_block(B)
-        resumed = PDSLin(A, _cfg(), resume=tmp_path).solve_block(B)
+        ref = PDSLin(
+            A, _cfg(), runtime=RuntimeOptions(checkpoint=tmp_path)).solve_block(B)
+        resumed = PDSLin(
+            A, _cfg(), runtime=RuntimeOptions(resume=tmp_path)).solve_block(B)
         for j in range(NRHS):
             assert resumed[j].x.tobytes() == ref[j].x.tobytes()
 

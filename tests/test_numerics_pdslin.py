@@ -15,7 +15,7 @@ from repro.numerics import backward_errors
 from repro.numerics.smoke import run_numerics_smoke
 from repro.obs import Tracer
 from repro.obs.export import load_metrics, stage_metrics, write_metrics
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.solver.report import format_report, run_report
 
 CERTIFY_TOL = 1e-12
@@ -111,7 +111,8 @@ class TestAccuracySurfacing:
     def test_tracer_counters_and_metrics_roundtrip(self, tmp_path):
         gm = generate_robust("graded.laplace", "tiny")
         tracer = Tracer()
-        res = PDSLin(gm.A, _cfg(), tracer=tracer).solve(_rhs(gm.A))
+        res = PDSLin(gm.A, _cfg(),
+                     runtime=RuntimeOptions(tracer=tracer)).solve(_rhs(gm.A))
         assert res.certified
         for key in ("cond_est_subdomain", "cond_est_schur",
                     "refine_steps", "refine_certified",
@@ -128,7 +129,8 @@ class TestAccuracySurfacing:
 
     def test_master_switch_disables_everything(self, grid16):
         tracer = Tracer()
-        solver = PDSLin(grid16, _cfg(numerics=False), tracer=tracer)
+        solver = PDSLin(grid16, _cfg(numerics=False),
+                        runtime=RuntimeOptions(tracer=tracer))
         res = solver.solve(_rhs(grid16))
         assert res.converged
         assert res.accuracy is None
@@ -150,7 +152,8 @@ class TestCondestDrivenAdaptation:
         gm = generate_robust("graded.laplace", "tiny")
         tracer = Tracer()
         cfg = _cfg(equilibrate=False, static_pivot_matching=False)
-        res = PDSLin(gm.A, cfg, tracer=tracer).solve(_rhs(gm.A))
+        res = PDSLin(gm.A, cfg,
+                     runtime=RuntimeOptions(tracer=tracer)).solve(_rhs(gm.A))
         assert res.certified  # refinement + adaptation still certify
         assert tracer.counters.get("cond_tightenings", 0) >= 1
         assert tracer.counters.get("schur_cond_rebuilds", 0) >= 1
@@ -166,7 +169,7 @@ class TestCondestDrivenAdaptation:
 
     def test_well_conditioned_system_untouched(self, grid16):
         tracer = Tracer()
-        solver = PDSLin(grid16, _cfg(), tracer=tracer)
+        solver = PDSLin(grid16, _cfg(), runtime=RuntimeOptions(tracer=tracer))
         solver.setup()
         assert tracer.counters.get("cond_tightenings", 0) == 0
         assert solver._drop_schur_eff == solver.config.drop_schur
@@ -192,8 +195,8 @@ class TestRefineStallEscalation:
         # escalates once (precond rebuild), stalls again, and the run is
         # reported as degraded via a "refine-stall" event
         solver = PDSLin(grid16, _cfg(gmres_tol=1e-3, drop_schur=1e-4))
-        monkeypatch.setattr(solver, "_correction_solve",
-                            lambda r: np.zeros_like(r))
+        monkeypatch.setattr(solver, "_correction_solve_block",
+                            lambda R: np.zeros_like(R))
         res = solver.solve(_rhs(grid16))
         acc = res.accuracy
         assert acc is not None

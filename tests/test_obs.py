@@ -18,7 +18,7 @@ from repro.obs import (
     write_metrics,
 )
 from repro.obs.export import format_stage_summary
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 
 
 class TestSpans:
@@ -173,7 +173,8 @@ class TestSolverWiring:
         A = gm.A.tocsr()
         b = np.random.default_rng(0).standard_normal(A.shape[0])
         tracer = Tracer()
-        solver = PDSLin(A, PDSLinConfig(k=2, seed=0), tracer=tracer)
+        solver = PDSLin(A, PDSLinConfig(k=2, seed=0),
+                        runtime=RuntimeOptions(tracer=tracer))
         result = solver.solve(b)
         return tracer, result
 

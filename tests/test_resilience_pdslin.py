@@ -9,9 +9,10 @@ import scipy.sparse as sp
 from tests.conftest import grid_laplacian
 
 from repro.obs import Tracer
-from repro.resilience import FaultPlan, FaultSpec
+from repro.resilience import FaultPlan, FaultSpec, InjectedFault
 from repro.resilience.chaos import run_chaos_smoke, standard_fault_plan
-from repro.solver import PDSLin, PDSLinConfig
+from repro.service import SolverService
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.solver.bicgstab import BiCGSTABResult
 
 
@@ -37,7 +38,8 @@ class TestFaultInjectionEndToEnd:
             FaultSpec(stage="LU(S)", process=None, kind="transient"),
         ], seed=0)
         tracer = Tracer()
-        solver = PDSLin(grid16, _cfg(), tracer=tracer, fault_plan=plan)
+        solver = PDSLin(grid16, _cfg(),
+                        runtime=RuntimeOptions(tracer=tracer, fault_plan=plan))
         result = solver.solve(_rhs(grid16))
 
         assert result.converged
@@ -61,7 +63,8 @@ class TestFaultInjectionEndToEnd:
     def test_transient_subdomain_fault_retries_in_place(self, grid16):
         plan = FaultPlan([FaultSpec(stage="Comp(S)", process=2,
                                     kind="transient", trips=1)])
-        solver = PDSLin(grid16, _cfg(), fault_plan=plan)
+        solver = PDSLin(grid16, _cfg(),
+                        runtime=RuntimeOptions(fault_plan=plan))
         result = solver.solve(_rhs(grid16))
         assert result.converged
         assert result.recovery.actions() == {"retry": 1}
@@ -71,7 +74,8 @@ class TestFaultInjectionEndToEnd:
     def test_straggler_inflates_makespan_without_events(self, grid16):
         plan = FaultPlan([FaultSpec(stage="LU(D)", process=0,
                                     kind="straggler", delay_s=0.5)])
-        solver = PDSLin(grid16, _cfg(), fault_plan=plan)
+        solver = PDSLin(grid16, _cfg(),
+                        runtime=RuntimeOptions(fault_plan=plan))
         result = solver.solve(_rhs(grid16))
         assert result.converged
         assert result.recovery.healthy  # stragglers are slow, not broken
@@ -85,7 +89,8 @@ class TestFaultInjectionEndToEnd:
                 FaultSpec(stage="Comp(S)", process=3, kind="transient",
                           recovery_cost_s=0.02),
             ], seed=4)
-            solver = PDSLin(grid16, _cfg(), fault_plan=plan)
+            solver = PDSLin(grid16, _cfg(),
+                            runtime=RuntimeOptions(fault_plan=plan))
             result = solver.solve(_rhs(grid16))
             return plan, result
 
@@ -116,6 +121,56 @@ class TestFaultInjectionEndToEnd:
         assert a.specs == b.specs
         assert a.specs[0].kind == "permanent"
         assert a.specs[1].process is None
+
+
+class TestRootSolveFault:
+    """Every root-side piece of the solve phase (the ``F^_l U_l`` /
+    ``E^_l Y`` products as much as the Krylov solve) enters the root's
+    ``Solve`` stage through the retrying ``_on_root_stage``, whichever
+    entry point was called."""
+
+    @staticmethod
+    def _plan(kind):
+        return FaultPlan([FaultSpec("Solve", process=None, kind=kind)])
+
+    @pytest.mark.parametrize("entry", ["solve", "solve_block"])
+    def test_transient_root_fault_is_retried(self, grid16, entry):
+        b = _rhs(grid16)
+        solver = PDSLin(grid16, _cfg(), runtime=RuntimeOptions(
+            fault_plan=self._plan("transient")))
+        if entry == "solve":
+            res = solver.solve(b)
+        else:
+            res = solver.solve_block(b[:, None])[0]
+        assert res.converged and res.residual_norm < 1e-8
+        assert res.recovery.actions() == {"retry": 1}
+        assert not res.degraded
+        assert res.x.tobytes() == PDSLin(grid16, _cfg()).solve(b).x.tobytes()
+
+    def test_transient_root_fault_is_retried_behind_the_service(
+            self, grid16):
+        b = _rhs(grid16)
+        with SolverService(config=_cfg()) as svc:
+            ref = svc.solve(grid16, b)
+            (session,) = svc.cache
+            session.solver.machine.fault_plan = self._plan("transient")
+            res = svc.solve(grid16, b)
+        assert res.converged and not res.degraded
+        assert res.recovery.actions() == {"retry": 1}
+        assert res.x.tobytes() == ref.x.tobytes()
+
+    @pytest.mark.parametrize("entry", ["solve", "solve_block"])
+    def test_permanent_root_fault_propagates(self, grid16, entry):
+        # there is no spare root to fail over to
+        b = _rhs(grid16)
+        solver = PDSLin(grid16, _cfg(), runtime=RuntimeOptions(
+            fault_plan=self._plan("permanent")))
+        solver.setup()
+        with pytest.raises(InjectedFault):
+            if entry == "solve":
+                solver.solve(b)
+            else:
+                solver.solve_block(b[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +211,7 @@ class TestNumericalRecovery:
         tracer = Tracer()
         solver = PDSLin(A2, PDSLinConfig(k=2, block_size=16, seed=0,
                                          static_pivot_matching=False),
-                        tracer=tracer)
+                        runtime=RuntimeOptions(tracer=tracer))
         result = solver.solve(_rhs(A2))
         assert result.converged
         rep = result.recovery
@@ -188,7 +243,8 @@ class TestNumericalRecovery:
         once, warm-started, to convergence."""
         tracer = Tracer()
         solver = PDSLin(grid16, _cfg(drop_schur=0.5, gmres_maxiter=4,
-                                     gmres_restart=4), tracer=tracer)
+                                     gmres_restart=4),
+                        runtime=RuntimeOptions(tracer=tracer))
         result = solver.solve(_rhs(grid16))
         assert result.converged
         assert result.residual_norm < 1e-8

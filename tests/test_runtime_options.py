@@ -1,6 +1,6 @@
 """Tests for the consolidated runtime-options API surface:
-RuntimeOptions + deprecation shims, BlockResult list compatibility,
-and the repro.solve / repro.serve entry points."""
+RuntimeOptions (the only carrier of runtime knobs), BlockResult list
+compatibility, and the repro.solve / repro.serve entry points."""
 
 import dataclasses
 import warnings
@@ -40,29 +40,13 @@ class TestRuntimeOptions:
                             runtime=RuntimeOptions(tracer=Tracer()))
             assert solver.solve(b).converged
 
-    def test_legacy_kwarg_warns_and_still_works(self, system):
-        A, b = system
-        with pytest.warns(DeprecationWarning, match="tracer"):
-            legacy = PDSLin(A, _cfg(), tracer=Tracer())
-        modern = PDSLin(A, _cfg(), runtime=RuntimeOptions(tracer=Tracer()))
-        assert legacy.solve(b).x.tobytes() == modern.solve(b).x.tobytes()
-
-    def test_warning_names_every_legacy_kwarg(self, system):
+    @pytest.mark.parametrize("name", RuntimeOptions.field_names())
+    def test_legacy_kwarg_is_a_type_error(self, system, name):
+        # the PR 10 per-knob keyword shims are gone: runtime= is the
+        # only way in
         A, _ = system
-        with pytest.warns(DeprecationWarning) as rec:
-            PDSLin(A, _cfg(), backend="serial", verify=False)
-        message = str(rec[0].message)
-        assert "backend" in message and "verify" in message
-        assert "RuntimeOptions" in message
-
-    def test_explicit_kwarg_overrides_runtime_field(self, system):
-        A, _ = system
-        with pytest.warns(DeprecationWarning):
-            solver = PDSLin(A, _cfg(),
-                            runtime=RuntimeOptions(verify=False),
-                            verify=True)
-        assert solver.runtime.verify is True
-        assert solver.verifier.__class__.__name__ == "Verifier"
+        with pytest.raises(TypeError, match=name):
+            PDSLin(A, _cfg(), **{name: None})
 
     def test_every_legacy_kwarg_is_a_runtime_field(self):
         assert set(RuntimeOptions.field_names()) == {

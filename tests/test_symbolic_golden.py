@@ -1,7 +1,9 @@
 """The symbolic set-up kernels reproduce the golden digests recorded
 from the commit before their array-native rewrite (identical-output
 contract: same perms, parent arrays, G patterns, supernode ranges,
-dense blocks and scalings, hence the same S~ and x).
+dense blocks and scalings, hence the same S~ and x). The ``solve/``
+groups hold ``PDSLin.solve(b)`` to the answers of the commit before it
+became the one-column case of ``solve_block``.
 
 The cases and the digest function live in
 ``tools/record_symbolic_golden.py``; see there for how (and when not)
@@ -39,7 +41,7 @@ def test_golden_file_covers_every_group():
 @pytest.mark.parametrize("group", list(GOLDEN["groups"]))
 def test_kernels_reproduce_golden(group):
     same_host = recorder.host_stamp() == GOLDEN["host"]
-    if group.startswith("e2e/") and not same_host:
+    if group.startswith(("e2e/", "solve/")) and not same_host:
         pytest.skip("S~ and x pass through SuperLU/BLAS; golden values were "
                     f"recorded on {GOLDEN['host']}")
     golden = GOLDEN["groups"][group]

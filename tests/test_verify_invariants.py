@@ -13,7 +13,7 @@ from repro.core.dbbd import build_dbbd
 from repro.core.rhb import rhb_partition
 from repro.graphs.ngd import nested_dissection_partition
 from repro.lu import factorize
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.verify import NULL_VERIFIER, NullVerifier, VerificationError, Verifier
 
 
@@ -252,7 +252,7 @@ class TestEndToEnd:
         verifier = Verifier()
         b = rng.standard_normal(grid16.shape[0])
         res = PDSLin(grid16, PDSLinConfig(k=4, seed=0),
-                     verify=verifier).solve(b)
+                     runtime=RuntimeOptions(verify=verifier)).solve(b)
         assert res.residual_norm < 1e-8
         ran = set(verifier.checks_run)
         for expected in ("partition.perm-bijection", "partition.dbbd-exact",
@@ -263,7 +263,8 @@ class TestEndToEnd:
             assert expected in ran, expected
 
     def test_pdslin_verify_true_promotes_to_verifier(self, grid8, rng):
-        solver = PDSLin(grid8, PDSLinConfig(k=2, seed=0), verify=True)
+        solver = PDSLin(grid8, PDSLinConfig(k=2, seed=0),
+                        runtime=RuntimeOptions(verify=True))
         assert isinstance(solver.verifier, Verifier)
         assert solver.verifier.enabled
         b = rng.standard_normal(grid8.shape[0])

@@ -33,6 +33,7 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -64,7 +65,7 @@ from repro.ordering import (
     symbolic_cholesky_row_counts,
     tree_level,
 )
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.sparse import symmetrized
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / \
@@ -439,6 +440,55 @@ def e2e_rows(name: str) -> list[list[str]]:
     ]
 
 
+def solve_rows(name: str) -> list[list[str]]:
+    """``PDSLin.solve(b)`` answers (recorded from the commit before
+    ``solve`` became the one-column case of ``solve_block``): numerics
+    on/off x Krylov method x ABFT mode, a cold and a warm solve each,
+    then after ``update_matrix``, on a checkpoint resume and on
+    ``process:2``."""
+    gm = generate(name, "tiny")
+    A = gm.A.tocsr()
+    n = A.shape[0]
+    b0 = np.random.default_rng(0).standard_normal(n)
+    b1 = np.random.default_rng(1).standard_normal(n)
+    tag, din = f"solve/{name}", digest(A, b0, b1)
+    rows = []
+
+    def record(case: str, solver: PDSLin, *rhs) -> None:
+        for i, b in enumerate(rhs):
+            res = solver.solve(b)
+            acc = res.accuracy
+            rows.append([f"{tag}:{case}:b{i}", din,
+                         digest(res.x, res.converged, res.iterations,
+                                None if acc is None else acc.refine_steps)])
+
+    for numerics in (True, False):
+        for krylov in ("gmres", "fgmres", "bicgstab"):
+            for mode in ("off", "detect+recover"):
+                cfg = PDSLinConfig(k=4, numerics=numerics, krylov=krylov,
+                                   abft=mode)
+                record(f"numerics={int(numerics)}:{krylov}:abft={mode}",
+                       PDSLin(A, cfg, M=gm.M), b0, b1)
+
+    cfg = PDSLinConfig(k=4)
+    solver = PDSLin(A, cfg, M=gm.M).setup()
+    A2 = A.copy()
+    A2.data = A2.data * np.random.default_rng(2).uniform(0.9, 1.1, A2.nnz)
+    record("update_matrix", solver.update_matrix(A2), b0)
+    with tempfile.TemporaryDirectory() as ckpt:
+        PDSLin(A, cfg, M=gm.M,
+               runtime=RuntimeOptions(checkpoint=ckpt)).setup()
+        record("resume", PDSLin(A, cfg, M=gm.M,
+                                runtime=RuntimeOptions(resume=ckpt)), b0)
+    solver = PDSLin(A, cfg, M=gm.M,
+                    runtime=RuntimeOptions(backend="process:2"))
+    try:
+        record("process:2", solver, b0, b1)
+    finally:
+        solver.backend.close()
+    return rows
+
+
 def groups() -> dict:
     """Group name -> zero-argument builder of that group's rows."""
     out = {"edge": edge_rows}
@@ -448,6 +498,8 @@ def groups() -> dict:
         out[f"small/{name}"] = partial(small_rows, name)
     for name in E2E_MATRICES:
         out[f"e2e/{name}"] = partial(e2e_rows, name)
+    for name in E2E_MATRICES:
+        out[f"solve/{name}"] = partial(solve_rows, name)
     return out
 
 
@@ -463,14 +515,31 @@ def main(argv=None) -> int:
     ap.add_argument("--commit", default=None,
                     help="commit the kernels were recorded from (stamped "
                          "into the file)")
+    ap.add_argument("--groups", default=None, metavar="PREFIX",
+                    help="record only the groups whose name starts with "
+                         "PREFIX into the existing file; its other rows "
+                         "and its recorded_from are kept, and --commit is "
+                         "stamped under recorded_from_groups[PREFIX]")
     args = ap.parse_args(argv)
     head = {"schema_version": 1, "recorded_from": args.commit,
             "host": host_stamp()}
+    kept = {}
+    if args.groups is not None:
+        old = json.loads(args.out.read_text())
+        if old["host"] != head["host"]:
+            raise SystemExit(f"{args.out} was recorded on {old['host']}; "
+                             "this host cannot add rows to it")
+        kept = old.pop("groups")
+        head = old
+        head.setdefault("recorded_from_groups", {})[args.groups] = args.commit
     # one row per line, so a re-record diffs row by row
     chunks = []
     for gname, build in groups().items():
-        rows = build()
-        print(f"{gname}: {len(rows)} rows")
+        if args.groups is None or gname.startswith(args.groups):
+            rows = build()
+            print(f"{gname}: {len(rows)} rows")
+        else:
+            rows = kept[gname]
         body = ",\n".join("  " + json.dumps(row) for row in rows)
         chunks.append(f" {json.dumps(gname)}: [\n{body}\n ]")
     args.out.parent.mkdir(parents=True, exist_ok=True)
