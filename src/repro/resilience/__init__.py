@@ -11,8 +11,10 @@ pipeline must *recover* rather than abort:
 - :mod:`repro.resilience.retry` — the generic :class:`RetryPolicy`;
 - :mod:`repro.resilience.report` — :class:`RecoveryReport`, the
   degraded-mode accounting attached to every solve result;
-- :mod:`repro.resilience.recovery` — numerical ladders
-  (:func:`factorize_resilient`: threshold -> full -> static pivoting);
+- :mod:`repro.resilience.recovery` — the ladder drivers
+  (:func:`factorize_resilient`: threshold -> full -> static pivoting;
+  :func:`sdc_ladder`: detected -> repaired -> re-verified, for every
+  checksum site);
 - :mod:`repro.resilience.abft` — algorithm-based fault tolerance:
   checksummed LU factors and Schur updates, Krylov drift audits, and
   the seeded ``REPRO_CHAOS_BITFLIP_*`` bit-flip injector;
@@ -57,7 +59,7 @@ from repro.resilience.errors import (
     WorkerCrashError,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec, FiredFault
-from repro.resilience.recovery import factorize_resilient
+from repro.resilience.recovery import factorize_resilient, sdc_ladder
 from repro.resilience.report import (
     DEGRADING_ACTIONS,
     RecoveryEvent,
@@ -74,7 +76,7 @@ __all__ = [
     "FaultSpec", "FaultPlan", "FiredFault",
     "RetryPolicy", "run_with_retry",
     "RecoveryEvent", "RecoveryReport", "DEGRADING_ACTIONS", "emit_recovery",
-    "factorize_resilient",
+    "factorize_resilient", "sdc_ladder",
     "ABFT_MODES", "AuditResult", "FactorChecksums",
     "attach_factor_checksums", "verify_factors", "checksum_matrix",
     "verify_matrix_checksum", "bitflip_seam", "maybe_bitflip",

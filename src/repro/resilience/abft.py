@@ -360,9 +360,10 @@ def flip_bits(arrays, *, rng: np.random.Generator,
     """Flip ``count`` exponent bits across the given float64 arrays,
     in place. Victim elements are the largest-magnitude entries (so a
     single flip is always a normwise-visible corruption — the drills
-    must be deterministic, not lucky). Returns
-    ``(array_index, element_index, bit, old, new)`` records."""
-    pool = [(i, a) for i, a in enumerate(arrays)
+    must be deterministic, not lucky). A C-ordered block (the iterate
+    of a block Krylov run) is flipped through its flat view. Returns
+    ``(array_index, flat_element_index, bit, old, new)`` records."""
+    pool = [(i, a.reshape(-1)) for i, a in enumerate(arrays)
             if a is not None and a.size > 0 and a.dtype == np.float64]
     records = []
     if not pool:

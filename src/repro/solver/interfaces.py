@@ -62,6 +62,11 @@ class SubdomainInterfaces:
     def n_interface_rows(self) -> int:
         return int(self.f_rows.size)
 
+    def permuted_D(self, perm: np.ndarray) -> sp.csc_matrix:
+        """``D[perm][:, perm]`` in CSC — the matrix a subdomain's
+        factors (and their SuperLU handle) are computed from."""
+        return self.D[perm][:, perm].tocsc()
+
 
 def extract_interfaces(p: DBBDPartition, ell: int) -> SubdomainInterfaces:
     """Extract the compressed local system of subdomain ``ell``."""

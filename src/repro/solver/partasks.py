@@ -67,10 +67,9 @@ from repro.numerics.condest import condest_from_factors
 from repro.obs.tracer import NULL_TRACER, SpanRecord, Tracer
 from repro.ordering import elimination_tree, minimum_degree, postorder
 from repro.parallel.exec import in_worker, transport_checksum_enabled
-from repro.resilience import RecoveryReport, factorize_resilient
+from repro.resilience import RecoveryReport, factorize_resilient, sdc_ladder
 from repro.resilience import abft
 from repro.resilience.errors import SdcDetectedError
-from repro.resilience.report import emit_recovery
 from repro.solver.interfaces import SubdomainInterfaces
 from repro.sparse import symmetrized
 from repro.verify.invariants import NULL_VERIFIER
@@ -78,7 +77,7 @@ from repro.verify.invariants import NULL_VERIFIER
 __all__ = [
     "SubdomainLU", "SubdomainComp", "SubdomainTask", "SubdomainSetupResult",
     "BlockSolveTask", "BlockSolveResult", "run_block_solve",
-    "factors_token",
+    "factors_token", "factorize_subdomain",
     "order_subdomain", "run_subdomain_lu", "run_subdomain_comp",
     "run_subdomain_setup", "replay_subdomain_verification",
     "pack_subdomain_state", "unpack_subdomain_state", "validate_chaos_env",
@@ -104,6 +103,15 @@ def _env_subdomain(name: str) -> Optional[int]:
 
 def _env_straggle_s() -> float:
     return envcfg.get(ENV_STRAGGLE_S)
+
+
+def _chaos_hooks(ell: int) -> None:
+    """The crash / straggle seams every shipped task body honors on
+    entry."""
+    if _env_subdomain(ENV_CRASH_SUBDOMAIN) == ell and in_worker():
+        os._exit(17)  # simulated hard crash
+    if _env_subdomain(ENV_STRAGGLE_SUBDOMAIN) == ell:
+        time.sleep(_env_straggle_s())  # simulated straggler
 
 
 def validate_chaos_env() -> None:
@@ -225,31 +233,20 @@ def run_subdomain_lu(sub: SubdomainInterfaces, cfg, *, ell: int,
         if perm is None:
             perm = order_subdomain(sub.D, method=cfg.subdomain_ordering,
                                    seed=cfg.seed)
-        Dp = sub.D[perm][:, perm].tocsc()
+        Dp = sub.permuted_D(perm)
         # the pivoting ladder: threshold -> full -> static perturbation
         # (records its own recovery events on `report`)
-        n_events = len(report.events)
-        factors, _ = factorize_resilient(
-            Dp, diag_pivot_thresh=cfg.diag_pivot_thresh,
-            stage="LU(D)", subdomain=ell, report=report, tracer=tracer)
-        handle_thresh: Optional[float] = cfg.diag_pivot_thresh
-        for ev in report.events[n_events:]:
-            if ev.action == "full-pivot":
-                handle_thresh = 1.0
-            elif ev.action == "static-pivot":
-                handle_thresh = None   # reference kernel: no handle exists
+        factors, handle_thresh = factorize_subdomain(
+            Dp, cfg, stage="LU(D)", ell=ell, report=report, tracer=tracer)
         verifier.after_subdomain_lu(ell, Dp, factors)
-        mode = getattr(cfg, "abft", "off")
-        if abft.abft_detect(mode):
-            abft.attach_factor_checksums(factors, Dp)
         # chaos seam fires regardless of the abft mode — corruption
         # does not care whether the defenses are on
         abft.maybe_bitflip("lu", (factors.L.data, factors.U.data),
                            subdomain=ell)
-        if abft.abft_detect(mode):
+        if abft.abft_detect(cfg.abft):
             factors, handle_thresh = _audit_subdomain_factors(
-                Dp, factors, cfg, mode, ell=ell,
-                handle_thresh=handle_thresh, report=report, tracer=tracer)
+                Dp, factors, cfg, ell=ell, handle_thresh=handle_thresh,
+                report=report, tracer=tracer)
         flops = lu_flop_count(factors)
         tracer.count("subdomain_dim", int(sub.D.shape[0]))
         tracer.count("subdomain_nnz", int(sub.D.nnz))
@@ -261,58 +258,62 @@ def run_subdomain_lu(sub: SubdomainInterfaces, cfg, *, ell: int,
                        cond=cond, handle_thresh=handle_thresh)
 
 
-def _audit_subdomain_factors(Dp, factors, cfg, mode, *, ell, handle_thresh,
+def factorize_subdomain(Dp, cfg, *, stage: str, ell: int,
+                        report: RecoveryReport, tracer: Tracer):
+    """A subdomain's pristine permuted block through the pivoting
+    ladder, with the ABFT checksums attached when ``cfg.abft`` arms
+    them: the first factorization, and the repair of both factor
+    audits (LU(D) here, the solve-phase sweep in the solver). Returns
+    ``(factors, handle_thresh)``."""
+    factors, handle_thresh = factorize_resilient(
+        Dp, diag_pivot_thresh=cfg.diag_pivot_thresh, stage=stage,
+        subdomain=ell, report=report, tracer=tracer)
+    if abft.abft_detect(cfg.abft):
+        abft.attach_factor_checksums(factors, Dp)
+    return factors, handle_thresh
+
+
+def _audit_subdomain_factors(Dp, factors, cfg, *, ell, handle_thresh,
                              report, tracer):
     """The worker-side ABFT audit of freshly produced factors, run
     before results ship (and on the serial path, before they are
-    used). On a checksum violation: record ``sdc-detected``; in
-    ``detect+recover`` mode refactorize *this subdomain only* from the
-    pristine ``Dp`` and re-verify; otherwise record the corruption as
-    ``sdc-unrecoverable`` (degrading) and keep going honestly."""
+    used). Repair refactorizes *this subdomain only* from the pristine
+    ``Dp`` and re-verifies; factors that fail even then raise."""
+    recover = abft.abft_recover(cfg.abft)
     with tracer.span("abft_verify", stage="LU(D)", l=ell):
         tracer.count("sdc_checks")
         audit = abft.verify_factors(factors)
         if audit.ok:
             return factors, handle_thresh
-        tracer.count("sdc_detected")
         err = SdcDetectedError(
             f"subdomain LU factor checksum violated: {audit.detail}",
             site="lu", rel=audit.rel, stage="LU(D)", subdomain=ell)
-        emit_recovery(tracer, report, "LU(D)", "sdc-detected", err,
-                      detail=audit.detail, subdomain=ell)
-        if not abft.abft_recover(mode):
-            emit_recovery(tracer, report, "LU(D)", "sdc-unrecoverable", err,
-                          detail="abft=detect: corruption reported but not "
-                                 "repaired; factors may be corrupt",
-                          subdomain=ell)
-            return factors, handle_thresh
-        with tracer.span("recover", stage="LU(D)", action="sdc-refactorize"):
-            n_events = len(report.events)
-            fresh, _ = factorize_resilient(
-                Dp, diag_pivot_thresh=cfg.diag_pivot_thresh,
-                stage="LU(D)", subdomain=ell, report=report, tracer=tracer)
-            new_thresh: Optional[float] = cfg.diag_pivot_thresh
-            for ev in report.events[n_events:]:
-                if ev.action == "full-pivot":
-                    new_thresh = 1.0
-                elif ev.action == "static-pivot":
-                    new_thresh = None
-            abft.attach_factor_checksums(fresh, Dp)
-            tracer.count("sdc_checks")
-            again = abft.verify_factors(fresh)
-        if not again.ok:
-            emit_recovery(tracer, report, "LU(D)", "sdc-unrecoverable", err,
-                          detail="refactorized subdomain still fails "
-                                 "verification", subdomain=ell)
+
+        def repair():
+            nonlocal factors, handle_thresh, audit
+            with tracer.span("recover", stage="LU(D)",
+                             action="sdc-refactorize"):
+                factors, handle_thresh = factorize_subdomain(
+                    Dp, cfg, stage="LU(D)", ell=ell, report=report,
+                    tracer=tracer)
+                tracer.count("sdc_checks")
+                audit = abft.verify_factors(factors)
+            return None if audit.ok else \
+                "refactorized subdomain still fails verification"
+
+        repaired = sdc_ladder(
+            tracer, report, "LU(D)", [(err, audit.detail, ell)],
+            recover=recover, repair=repair,
+            unrepaired="abft=detect: corruption reported but not repaired; "
+                       "factors may be corrupt",
+            recovered="subdomain refactorized in place from its pristine "
+                      "interface matrix")
+        if recover and not repaired:
             raise SdcDetectedError(
                 f"subdomain {ell} fails factor verification even after "
-                f"refactorization: {again.detail}",
-                site="lu", rel=again.rel, stage="LU(D)", subdomain=ell)
-        tracer.count("sdc_recovered")
-        emit_recovery(tracer, report, "LU(D)", "sdc-recovered", err,
-                      detail="subdomain refactorized in place from its "
-                             "pristine interface matrix", subdomain=ell)
-        return fresh, new_thresh
+                f"refactorization: {audit.detail}",
+                site="lu", rel=audit.rel, stage="LU(D)", subdomain=ell)
+        return factors, handle_thresh
 
 
 def _column_order(cfg, E_rows_factored: sp.csr_matrix,
@@ -390,13 +391,7 @@ def run_subdomain_setup(task: SubdomainTask) -> SubdomainSetupResult:
     """Worker entry point: LU (unless precomputed) then Comp, each
     under a local tracer whose spans/counters ship back separately so
     the parent can merge exactly the parts it accepts."""
-    crash = _env_subdomain(ENV_CRASH_SUBDOMAIN)
-    if crash == task.ell and in_worker():
-        os._exit(17)  # simulated hard crash (chaos hook)
-    straggle = _env_subdomain(ENV_STRAGGLE_SUBDOMAIN)
-    if straggle == task.ell:
-        time.sleep(_env_straggle_s())  # simulated straggler (chaos hook)
-
+    _chaos_hooks(task.ell)
     out = SubdomainSetupResult(ell=task.ell)
     report = RecoveryReport()
     lu = task.lu
@@ -519,13 +514,7 @@ def run_block_solve(task: BlockSolveTask) -> BlockSolveResult:
     (both the forward ``D^{-1} f`` and backward ``D^{-1} E y`` passes
     ship through here). Honors the same chaos crash/straggle hooks as
     setup tasks."""
-    crash = _env_subdomain(ENV_CRASH_SUBDOMAIN)
-    if crash == task.ell and in_worker():
-        os._exit(17)  # simulated hard crash (chaos hook)
-    straggle = _env_subdomain(ENV_STRAGGLE_SUBDOMAIN)
-    if straggle == task.ell:
-        time.sleep(_env_straggle_s())  # simulated straggler (chaos hook)
-
+    _chaos_hooks(task.ell)
     factors = task.factors
     if factors.handle is None and task.handle_thresh is not None:
         factors.handle = _cached_handle(task)
@@ -569,8 +558,7 @@ def replay_subdomain_verification(sub: SubdomainInterfaces, cfg,
         return
     verifier.after_interfaces(sub, separator_size)
     perm, factors = lu.perm, lu.factors
-    Dp = sub.D[perm][:, perm].tocsc()
-    verifier.after_subdomain_lu(lu.ell, Dp, factors)
+    verifier.after_subdomain_lu(lu.ell, sub.permuted_D(perm), factors)
     if comp is not None:
         Epp = factors.permute_rows(sub.E_hat[perm].tocsr())
         verifier.after_interface_solve(factors.L, Epp, comp.G_tilde,

@@ -69,6 +69,7 @@ from repro.resilience import (
     emit_recovery,
     factorize_resilient,
     load_checkpoint,
+    sdc_ladder,
 )
 from repro.resilience import abft
 from repro.resilience.checkpoint import (
@@ -87,6 +88,7 @@ from repro.solver.partasks import (
     SubdomainLU,
     SubdomainSetupResult,
     SubdomainTask,
+    factorize_subdomain,
     factors_token,
     order_subdomain,
     run_block_solve,
@@ -228,6 +230,10 @@ class SubdomainComputation:
     #: no handle anywhere) — what a solve-phase worker needs to
     #: re-attach a bit-identical handle on its side of the pickle.
     handle_thresh: Optional[float] = None
+
+    def permuted_D(self) -> sp.csc_matrix:
+        """The pristine matrix ``factors`` were computed from."""
+        return self.interfaces.permuted_D(self.perm)
 
 
 @dataclass
@@ -534,12 +540,12 @@ class PDSLin:
                              error, detail=detail, subdomain=subdomain,
                              attempt=attempt)
 
-    def _on_subdomain(self, ell: int, stage: str, body: Callable):
-        """Run ``body(ledger)`` on process ``ell``, with the injected-
-        fault ladder: transient faults retry in place (recovery time
-        charged to the ``Recover`` stage of that process); permanent
-        faults — or exhausted retries — fail the work over to the root
-        process, marking the solve degraded.
+    def _on_stage(self, stage: str, body: Callable, ell: int | None = None):
+        """Run ``body(ledger)`` on process ``ell`` (``None``: the root)
+        under the injected-fault ladder: transient faults retry in
+        place; a permanent fault — or exhausted retries — fails a
+        subdomain's work over to the root, marking the solve degraded,
+        and propagates from the root itself, which has no spare.
 
         Only :class:`InjectedFault` is handled here (it is raised at
         stage *entry*, so the body never ran); numerical errors from
@@ -549,48 +555,60 @@ class PDSLin:
         while True:
             attempt += 1
             try:
-                with self.machine.on_process(ell, stage) as ledger:
+                with (self.machine.on_root(stage) if ell is None else
+                      self.machine.on_process(ell, stage)) as ledger:
                     return body(ledger)
             except InjectedFault as fault:
-                self.machine.charge_recovery(
-                    ell, seconds=fault.recovery_cost_s)
-                if not fault.permanent and \
-                        attempt < self.retry_policy.max_attempts:
-                    self._record(stage, "retry", fault, subdomain=ell,
-                                 attempt=attempt)
+                if self._fault_rung(stage, fault, ell, attempt):
                     continue
-                self._record(stage, "failover-root", fault, subdomain=ell,
-                             attempt=attempt,
-                             detail="re-executing the work on root")
-                with self.tracer.span("recover", stage=stage,
-                                      action="failover-root", l=ell), \
-                        self.machine.on_root(RECOVER_STAGE) as ledger:
-                    return body(ledger)
-
-    def _on_root_stage(self, stage: str, body: Callable):
-        """Run ``body(ledger)`` on the root process, retrying transient
-        injected faults. There is no spare root to fail over to, so a
-        permanent root fault (or exhausted retries) propagates."""
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                with self.machine.on_root(stage) as ledger:
-                    return body(ledger)
-            except InjectedFault as fault:
-                self.machine.charge_recovery(
-                    None, seconds=fault.recovery_cost_s)
-                if fault.permanent or \
-                        attempt >= self.retry_policy.max_attempts:
+                if ell is None:
                     raise
-                self._record(stage, "retry", fault, attempt=attempt)
+                return self._redo_on_root(stage, ell, body)
+
+    def _fault_rung(self, stage: str, fault: InjectedFault,
+                    ell: int | None, attempt: int) -> bool:
+        """Charge one injected fault (recovery time goes to the
+        ``Recover`` stage of the process it hit) and pick the rung:
+        True is a recorded retry in place, False the end of the line —
+        for a subdomain process that is the recorded, degrading
+        ``failover-root``."""
+        self.machine.charge_recovery(ell, seconds=fault.recovery_cost_s)
+        if not fault.permanent and attempt < self.retry_policy.max_attempts:
+            self._record(stage, "retry", fault, subdomain=ell,
+                         attempt=attempt)
+            return True
+        if ell is not None:
+            self._record(stage, "failover-root", fault, subdomain=ell,
+                         attempt=attempt,
+                         detail="re-executing the work on root")
+        return False
+
+    def _redo_on_root(self, stage: str, ell: int, body: Callable):
+        """The failover rung: subdomain ``ell``'s ``stage`` work on the
+        root process, charged to ``Recover``."""
+        with self.tracer.span("recover", stage=stage,
+                              action="failover-root", l=ell), \
+                self.machine.on_root(RECOVER_STAGE) as ledger:
+            return body(ledger)
 
     # -- ABFT / silent-data-corruption defense (repro.resilience.abft) ----
+    #
+    # Each site below is a detector plus a repair; what happens between
+    # the two is resilience.sdc_ladder (DESIGN.md "Recovery ladders").
 
     def _abft_on(self) -> bool:
         """True when checksum verification is armed (detect or
         detect+recover)."""
         return abft.abft_detect(self.config.abft)
+
+    def _sdc_ladder(self, stage: str, findings: list, *,
+                    recover: bool | None = None, **details) -> bool:
+        """:func:`repro.resilience.sdc_ladder` on this solver's tracer
+        and report; repairs run under ``abft="detect+recover"``."""
+        if recover is None:
+            recover = abft.abft_recover(self.config.abft)
+        return sdc_ladder(self.tracer, self.recovery, stage, findings,
+                          recover=recover, **details)
 
     def _verify_comp_contributions(self) -> None:
         """Checksum audit of every subdomain's local Schur update
@@ -609,31 +627,38 @@ class PDSLin:
                 audit = abft.verify_matrix_checksum(s.T_tilde, s.t_colsum)
             if audit.ok:
                 continue
+
+            def repair(s=s, ell=ell):
+                with self.tracer.span("recover", stage="Comp(S)",
+                                      action="sdc-recompute", l=ell):
+                    lu = SubdomainLU(ell=ell, perm=s.perm, factors=s.factors,
+                                     flops=s.lu_flops)
+                    comp = run_subdomain_comp(
+                        s.interfaces, self.config, lu,
+                        drop_tol=self._drop_interface_eff,
+                        tracer=self.tracer)
+                s.G_tilde, s.WT_tilde = comp.G_tilde, comp.WT_tilde
+                s.T_tilde, s.t_colsum = comp.T_tilde, comp.t_colsum
+
             err = SdcDetectedError(
                 f"T~ checksum violated for subdomain {ell}: {audit.detail}",
                 site="comp", rel=audit.rel, stage="Comp(S)", subdomain=ell)
-            self.tracer.count("sdc_detected")
-            self._record("Comp(S)", "sdc-detected", err, subdomain=ell,
-                         detail=audit.detail)
-            if not abft.abft_recover(self.config.abft):
-                self._record("Comp(S)", "sdc-unrecoverable", err,
-                             subdomain=ell,
-                             detail="abft=detect: corruption reported but "
-                                    "not repaired; S~ may be corrupt")
-                continue
-            with self.tracer.span("recover", stage="Comp(S)",
-                                  action="sdc-recompute", l=ell):
-                lu = SubdomainLU(ell=ell, perm=s.perm, factors=s.factors,
-                                 flops=s.lu_flops)
-                comp = run_subdomain_comp(
-                    s.interfaces, self.config, lu,
-                    drop_tol=self._drop_interface_eff, tracer=self.tracer)
-            s.G_tilde, s.WT_tilde = comp.G_tilde, comp.WT_tilde
-            s.T_tilde, s.t_colsum = comp.T_tilde, comp.t_colsum
-            self.tracer.count("sdc_recovered")
-            self._record("Comp(S)", "sdc-recovered", err, subdomain=ell,
-                         detail="Comp(S) recomputed on root from the "
-                                "subdomain factors")
+            self._sdc_ladder(
+                "Comp(S)", [(err, audit.detail, ell)], repair=repair,
+                unrepaired="abft=detect: corruption reported but not "
+                           "repaired; S~ may be corrupt",
+                recovered="Comp(S) recomputed on root from the subdomain "
+                          "factors")
+
+    def _assemble_schur(self, drop_tol: float, *,
+                        tracer=None) -> sp.csr_matrix:
+        """``S~`` at ``drop_tol`` from the cached per-subdomain updates
+        ``T~`` — no interface solve is repeated, and assembly is
+        deterministic, so the same tolerance rebuilds it bit-exactly."""
+        updates = [(s.interfaces, s.T_tilde) for s in self.subdomains]
+        return assemble_approximate_schur(
+            self.partition.C(), updates, drop_tol=drop_tol,
+            tracer=self.tracer if tracer is None else tracer)
 
     def _seal_schur(self) -> None:
         """Record the column-sum checksum of the assembled ``S~``."""
@@ -643,15 +668,7 @@ class PDSLin:
         else:
             self._s_colsum = None
 
-    def _reassemble_schur(self) -> None:
-        """Rebuild ``S~`` bit-exactly from the cached per-subdomain
-        updates (assembly is deterministic given the same inputs)."""
-        updates = [(s.interfaces, s.T_tilde) for s in self.subdomains]
-        self.S_tilde = assemble_approximate_schur(
-            self.partition.C(), updates, drop_tol=self._schur_drop_used,
-            tracer=self.tracer)
-
-    def _audit_schur(self, *, where: str, recover: bool = True) -> None:
+    def _audit_schur(self, *, where: str) -> None:
         """Verify ``S~`` against its recorded checksum; this is also
         the ``schur`` bit-flip injection seam (injection runs even with
         ``abft=off`` — corruption does not care whether defenses are
@@ -667,25 +684,22 @@ class PDSLin:
                                                 self._s_colsum)
         if audit.ok:
             return
+
+        def repair():
+            with self.tracer.span("recover", stage="LU(S)",
+                                  action="sdc-reassemble"):
+                self.S_tilde = self._assemble_schur(self._schur_drop_used)
+                self._seal_schur()
+
         err = SdcDetectedError(
             f"S~ checksum violated ({where}): {audit.detail}",
             site="schur", rel=audit.rel, stage="LU(S)")
-        self.tracer.count("sdc_detected")
-        self._record("LU(S)", "sdc-detected", err, detail=audit.detail)
-        if not (recover and abft.abft_recover(self.config.abft)):
-            self._record("LU(S)", "sdc-unrecoverable", err,
-                         detail="abft=detect: corruption reported but not "
-                                "repaired; the S~ preconditioner may be "
-                                "corrupt")
-            return
-        with self.tracer.span("recover", stage="LU(S)",
-                              action="sdc-reassemble"):
-            self._reassemble_schur()
-            self._seal_schur()
-        self.tracer.count("sdc_recovered")
-        self._record("LU(S)", "sdc-recovered", err,
-                     detail="S~ reassembled from the cached per-subdomain "
-                            "updates")
+        self._sdc_ladder(
+            "LU(S)", [(err, audit.detail, None)], repair=repair,
+            unrepaired="abft=detect: corruption reported but not repaired; "
+                       "the S~ preconditioner may be corrupt",
+            recovered="S~ reassembled from the cached per-subdomain "
+                      "updates")
 
     def _sweep_factor_audits(self) -> list[tuple[int, str]]:
         """Collect (and reset) the passive solve-audit verdicts that
@@ -701,29 +715,6 @@ class PDSLin:
                 bad.append((s.interfaces.ell, cs.last_detail))
             cs.reset_counters()
         return bad
-
-    def _book_transport(self, ells, outcomes) -> None:
-        """Book transport-checksum catches from a fan-out: a digest
-        mismatch that a clean resubmission repaired is a detected and
-        recovered SDC on the wire; one that survived the retry is
-        detected here and failed over to the root by the caller."""
-        for ell, out in zip(ells, outcomes):
-            if out is None or not out.transport_retries:
-                continue
-            err = TransportChecksumError(
-                "result payload failed its transport checksum",
-                backend=self.backend.name, stage="Transport",
-                subdomain=ell)
-            self.tracer.count("sdc_detected")
-            self._record("Transport", "sdc-detected", err, subdomain=ell,
-                         detail="blake2b digest mismatch on the shipped "
-                                "result payload")
-            if out.error is None:
-                self.tracer.count("sdc_recovered")
-                self._record("Transport", "sdc-recovered", err,
-                             subdomain=ell,
-                             detail="task resubmitted once; clean payload "
-                                    "accepted")
 
     # -- setup ------------------------------------------------------------
 
@@ -773,7 +764,7 @@ class PDSLin:
                 self.tracer.count("separator_size",
                                   int(self.partition.separator_vertices.size))
         else:
-            self._on_root_stage("Partition", partition_body)
+            self._on_stage("Partition", partition_body)
         if self._ckpt is not None:
             self._ckpt.register_partition(self.partition.part)
             self._ckpt.arm()
@@ -834,14 +825,14 @@ class PDSLin:
         with self.tracer.span("checkpoint_restore", l=ell):
             Dp = None
             if lu.factors.handle is None and lu.handle_thresh is not None:
-                Dp = sub.D[lu.perm][:, lu.perm].tocsc()
+                Dp = sub.permuted_D(lu.perm)
                 attach_handle(lu.factors, Dp,
                               diag_pivot_thresh=lu.handle_thresh)
             if self._abft_on() and lu.factors.checksums is None:
                 # checkpoint shards carry bare factors; re-arm the
                 # checksums so solve-phase audits cover restored state
                 if Dp is None:
-                    Dp = sub.D[lu.perm][:, lu.perm].tocsc()
+                    Dp = sub.permuted_D(lu.perm)
                 abft.attach_factor_checksums(lu.factors, Dp)
             self.tracer.count("checkpoint_subdomains_restored")
         self._note_subdomain_cond(ell, lu.cond)
@@ -1064,77 +1055,133 @@ class PDSLin:
             padding_W=comp.padding_W, lu_flops=lu.flops,
             t_colsum=comp.t_colsum, handle_thresh=lu.handle_thresh)
 
-    def _setup_subdomain(self, ell: int) -> None:
-        """Serial setup of one subdomain: the same task bodies the
-        parallel backends ship (:mod:`repro.solver.partasks`), run
-        inline under the simulated machine's fault ladder."""
-        cfg = self.config
-        assert self.partition is not None
-        sub = extract_interfaces(self.partition, ell)
-        perm = self._cached_order(sub.D)
-        sep = self.partition.separator_size
-
-        def lu_body(ledger):
-            lu = run_subdomain_lu(sub, cfg, ell=ell, separator_size=sep,
-                                  perm=perm, report=self.recovery,
-                                  tracer=self.tracer,
-                                  verifier=self.verifier)
+    def _lu_body(self, sub: SubdomainInterfaces, ell: int,
+                 perm: np.ndarray) -> Callable:
+        """LU(D) of one subdomain as a stage body — the task body the
+        parallel backends ship (:mod:`repro.solver.partasks`), for the
+        inline path and for the root's failover rung."""
+        def body(ledger):
+            lu = run_subdomain_lu(
+                sub, self.config, ell=ell,
+                separator_size=self.partition.separator_size, perm=perm,
+                report=self.recovery, tracer=self.tracer,
+                verifier=self.verifier)
             ledger.ops.add("LU(D)", lu.flops)
             return lu
+        return body
 
-        lu = self._on_subdomain(ell, "LU(D)", lu_body)
-        self._note_subdomain_cond(ell, lu.cond)
-
-        def comp_body(ledger):
-            comp = run_subdomain_comp(sub, cfg, lu,
-                                      drop_tol=self._drop_interface_eff,
-                                      tracer=self.tracer,
+    def _comp_body(self, sub: SubdomainInterfaces, lu: SubdomainLU,
+                   drop_tol: float) -> Callable:
+        """Comp(S) of one subdomain as a stage body (see
+        :meth:`_lu_body`)."""
+        def body(ledger):
+            comp = run_subdomain_comp(sub, self.config, lu,
+                                      drop_tol=drop_tol, tracer=self.tracer,
                                       verifier=self.verifier)
             ledger.ops.add("Comp(S)", comp.ops)
             return comp
+        return body
 
-        comp = self._on_subdomain(ell, "Comp(S)", comp_body)
+    def _setup_subdomain(self, ell: int) -> None:
+        """Serial setup of one subdomain, inline under the simulated
+        machine's fault ladder."""
+        assert self.partition is not None
+        sub = extract_interfaces(self.partition, ell)
+        lu = self._on_stage(
+            "LU(D)", self._lu_body(sub, ell, self._cached_order(sub.D)), ell)
+        self._note_subdomain_cond(ell, lu.cond)
+        comp = self._on_stage(
+            "Comp(S)", self._comp_body(sub, lu, self._drop_interface_eff),
+            ell)
         self.subdomains.append(self._pack_subdomain(sub, lu, comp))
         self._register_subdomain_checkpoint(ell, lu, comp)
 
     # -- parallel subdomain setup (repro.parallel.exec) --------------------
 
-    def _stage_fate(self, stage: str, ell: int) -> str:
-        """Pre-play the injected-fault retry ladder for ``(stage, ell)``
+    def _ships(self, stage: str, ell: int) -> bool:
+        """Pre-play the injected-fault ladder for ``(stage, ell)``
         before shipping the work to a backend. Faults are raised at
         stage *entry* (the body never runs), so the winning rung is
         known at dispatch time; recovery events and simulated charges
-        are identical to the serial ladder. Returns ``"run"`` (ship to
-        a worker) or ``"failover"`` (execute on the root)."""
+        are identical to the serial ladder. True ships the work to a
+        worker, False has failed it over to the root."""
         plan = self.machine.fault_plan
         if plan is None:
-            return "run"
+            return True
         attempt = 0
         while True:
             attempt += 1
             try:
                 plan.before(stage, ell)
-                return "run"
+                return True
             except InjectedFault as fault:
-                self.machine.charge_recovery(
-                    ell, seconds=fault.recovery_cost_s)
-                if not fault.permanent and \
-                        attempt < self.retry_policy.max_attempts:
-                    self._record(stage, "retry", fault, subdomain=ell,
-                                 attempt=attempt)
-                    continue
-                self._record(stage, "failover-root", fault, subdomain=ell,
-                             attempt=attempt,
-                             detail="re-executing the work on root")
-                return "failover"
+                if not self._fault_rung(stage, fault, ell, attempt):
+                    return False
 
-    def _count_speculation(self, outcomes) -> None:
-        """Book speculative-duplicate launches/wins from a fan-out."""
-        for out in outcomes:
+    def _fan_out(self, span: str, fn: Callable, tasks: list) -> dict:
+        """Ship ``tasks`` (one per subdomain) through the backend under
+        a ``span`` span and book what the transport saw: speculative
+        duplicates, and digest mismatches on shipped results — detected
+        SDC on the wire, recovered when the backend's one clean
+        resubmission was accepted (a second mismatch is left to
+        :meth:`_triage`). Returns the outcomes by subdomain."""
+        with self.tracer.span(span, backend=self.backend.name,
+                              workers=self.backend.workers,
+                              tasks=len(tasks)):
+            outcomes = self.backend.map(fn, tasks,
+                                        deadline_s=self.task_deadline_s,
+                                        speculation=self.speculation)
+        by_ell = {}
+        for task, out in zip(tasks, outcomes):
+            by_ell[task.ell] = out
             if out.duplicates:
                 self.tracer.count("speculation_launched", out.duplicates)
             if out.speculated:
                 self.tracer.count("speculation_wins")
+            if out.transport_retries:
+                err = TransportChecksumError(
+                    "result payload failed its transport checksum",
+                    backend=self.backend.name, stage="Transport",
+                    subdomain=task.ell)
+                self._sdc_ladder(
+                    "Transport",
+                    [(err, "blake2b digest mismatch on the shipped result "
+                           "payload", task.ell)],
+                    recover=out.error is None, repair=lambda: None,
+                    unrepaired=None,
+                    recovered="task resubmitted once; clean payload "
+                              "accepted")
+        return by_ell
+
+    def _triage(self, stage: str, ell: int, out) -> tuple:
+        """What one shipped task of ``stage`` came to: ``(value,
+        timed_out)``. A ``None`` value means "redo on the root", either
+        because the task never shipped (``out`` is None: its fault
+        ladder already failed it over) or because its worker died, its
+        result failed the transport digest twice, or the batch deadline
+        expired — recorded here as the degrading ``failover-root`` /
+        ``deadline-failover``. A real numerical error propagates as it
+        would have serially."""
+        if out is None:
+            return None, False
+        if out.error is None:
+            return out.value, False
+        if isinstance(out.error, TransportChecksumError):
+            why = "untrusted result payload"
+        elif isinstance(out.error, WorkerCrashError):
+            why = "worker process died"
+        elif out.timed_out:
+            self.tracer.count("deadline_timeouts")
+            self._record(stage, "deadline-failover", out.error,
+                         subdomain=ell,
+                         detail="task deadline expired; re-executing the "
+                                "work on root")
+            return None, True
+        else:
+            raise out.error
+        self._record(stage, "failover-root", out.error, subdomain=ell,
+                     detail=why + "; re-executing the work on root")
+        return None, False
 
     def _merge_worker_result(self, r: SubdomainSetupResult,
                              offset_s: float) -> None:
@@ -1162,32 +1209,6 @@ class PDSLin:
             delay = plan.after(stage, ell)
             if delay > 0.0:
                 led.timer.add(stage, delay)
-
-    def _run_lu_on_root(self, sub: SubdomainInterfaces, ell: int,
-                        perm: np.ndarray) -> SubdomainLU:
-        """Failover rung: LU(D) of one subdomain on the root process."""
-        with self.tracer.span("recover", stage="LU(D)",
-                              action="failover-root", l=ell), \
-                self.machine.on_root(RECOVER_STAGE) as ledger:
-            lu = run_subdomain_lu(
-                sub, self.config, ell=ell,
-                separator_size=self.partition.separator_size, perm=perm,
-                report=self.recovery, tracer=self.tracer,
-                verifier=self.verifier)
-            ledger.ops.add("LU(D)", lu.flops)
-        return lu
-
-    def _run_comp_on_root(self, sub: SubdomainInterfaces, lu: SubdomainLU,
-                          drop_tol: float) -> SubdomainComp:
-        """Failover rung: Comp(S) of one subdomain on the root process."""
-        with self.tracer.span("recover", stage="Comp(S)",
-                              action="failover-root", l=lu.ell), \
-                self.machine.on_root(RECOVER_STAGE) as ledger:
-            comp = run_subdomain_comp(sub, self.config, lu,
-                                      drop_tol=drop_tol, tracer=self.tracer,
-                                      verifier=self.verifier)
-            ledger.ops.add("Comp(S)", comp.ops)
-        return comp
 
     def _setup_subdomains_parallel(self) -> None:
         """Fan the per-subdomain setup out over ``self.backend``.
@@ -1229,59 +1250,45 @@ class PDSLin:
         # Comp(S), subdomains ascending); restored subdomains never ran
         # in the uninterrupted run's fault window twice, so they are
         # excluded from the ladder as well as the fan-out
-        lu_fate, comp_fate = [], []
+        ship_lu, ship_comp = [], []
         for ell in range(cfg.k):
-            if ell in restored:
-                lu_fate.append("restored")
-                comp_fate.append("restored")
-                continue
-            lu_fate.append(self._stage_fate("LU(D)", ell))
-            comp_fate.append(self._stage_fate("Comp(S)", ell))
+            ship_lu.append(ell not in restored
+                           and self._ships("LU(D)", ell))
+            ship_comp.append(ell not in restored
+                             and self._ships("Comp(S)", ell))
+
+        def task(ell, **kw):
+            return SubdomainTask(
+                ell=ell, interfaces=subs[ell], cfg=cfg, separator_size=sep,
+                perm=perms[ell], trace=trace, **kw)
 
         tol0 = self._drop_interface_eff
-        tasks, task_ell = [], []
-        for ell in range(cfg.k):
-            if lu_fate[ell] != "run":
-                continue
-            tasks.append(SubdomainTask(
-                ell=ell, interfaces=subs[ell], cfg=cfg, separator_size=sep,
-                drop_interface=tol0, perm=perms[ell],
-                run_comp=(comp_fate[ell] == "run"), trace=trace))
-            task_ell.append(ell)
-
-        with self.tracer.span("subdomain_fanout", backend=self.backend.name,
-                              workers=self.backend.workers,
-                              tasks=len(tasks)):
-            outcomes = self.backend.map(run_subdomain_setup, tasks,
-                                        deadline_s=self.task_deadline_s,
-                                        speculation=self.speculation)
-        by_ell = dict(zip(task_ell, outcomes))
-        self._count_speculation(outcomes)
-        self._book_transport(task_ell, outcomes)
+        by_ell = self._fan_out(
+            "subdomain_fanout", run_subdomain_setup,
+            [task(ell, drop_interface=tol0, run_comp=ship_comp[ell])
+             for ell in range(cfg.k) if ship_lu[ell]])
 
         lus: dict[int, SubdomainLU] = {}
         comps: dict[int, SubdomainComp] = {}
         worker_comp: dict[int, SubdomainComp | None] = {}
         redo: list[tuple[int, float]] = []
+
+        def accept_comp(ell, r):
+            comps[ell] = worker_comp[ell] = r.comp
+            if r.comp_spans or r.comp_counters:
+                self.tracer.merge(r.comp_spans, r.comp_counters,
+                                  offset_s=offset + r.lu_wall_s,
+                                  track=f"proc{ell}")
+            self._charge_process_stage(ell, "Comp(S)", r.comp_wall_s,
+                                       r.comp.ops)
+
         for ell in range(cfg.k):
             if ell in restored:
-                lu, comp = self._restore_subdomain(ell, subs[ell])
-                lus[ell], comps[ell] = lu, comp
+                lus[ell], comps[ell] = self._restore_subdomain(ell,
+                                                               subs[ell])
                 continue
-            sub, out = subs[ell], by_ell.get(ell)
-            # a transport digest mismatch that survived its resubmission
-            # means the payload cannot be trusted: same failover as a
-            # dead worker (the detection event is already booked)
-            crashed = out is not None and \
-                isinstance(out.error,
-                           (WorkerCrashError, TransportChecksumError))
-            timed = out is not None and out.timed_out
-            if out is not None and out.error is not None \
-                    and not crashed and not timed:
-                raise out.error  # real numerical error: propagate as serial
-            r = out.value if (out is not None and not crashed
-                              and not timed) else None
-            # ---- LU(D)
+            sub = subs[ell]
+            r, timed = self._triage("LU(D)", ell, by_ell.get(ell))
             if r is not None:
                 self._merge_worker_result(r, offset)
                 lu = r.lu
@@ -1289,93 +1296,44 @@ class PDSLin:
                                            lu.flops)
                 if lu.factors.handle is None and \
                         lu.handle_thresh is not None:
-                    Dp = sub.D[lu.perm][:, lu.perm].tocsc()
-                    attach_handle(lu.factors, Dp,
+                    attach_handle(lu.factors, sub.permuted_D(lu.perm),
                                   diag_pivot_thresh=lu.handle_thresh)
                 worker_comp.setdefault(ell, None)
             else:
-                if crashed:
-                    self._record("LU(D)", "failover-root", out.error,
-                                 subdomain=ell,
-                                 detail=("untrusted result payload"
-                                         if isinstance(
-                                             out.error,
-                                             TransportChecksumError)
-                                         else "worker process died")
-                                 + "; re-executing the work on root")
-                elif timed:
-                    self.tracer.count("deadline_timeouts")
-                    self._record("LU(D)", "deadline-failover", out.error,
-                                 subdomain=ell,
-                                 detail="task deadline expired; re-executing "
-                                        "the work on root")
-                lu = self._run_lu_on_root(sub, ell, perms[ell])
+                lu = self._redo_on_root(
+                    "LU(D)", ell, self._lu_body(sub, ell, perms[ell]))
             lus[ell] = lu
             self._note_subdomain_cond(ell, lu.cond)
-            # ---- Comp(S): the serial-semantics tolerance for this
-            # subdomain is the effective tolerance *now*, after the
-            # tightenings of subdomains 0..ell
+            # the serial-semantics Comp(S) tolerance for this subdomain
+            # is the effective tolerance *now*, after the tightenings
+            # of subdomains 0..ell
             tol_ell = self._drop_interface_eff
-            if comp_fate[ell] != "run" or timed:
+            if not ship_comp[ell] or timed:
                 # a timed-out subdomain stays on the root for Comp(S)
                 # too: re-shipping it would hit the same straggler
-                comps[ell] = self._run_comp_on_root(sub, lu, tol_ell)
+                comps[ell] = self._redo_on_root(
+                    "Comp(S)", ell, self._comp_body(sub, lu, tol_ell))
             elif r is not None and r.comp is not None \
                     and r.comp.drop_tol == tol_ell:
-                comps[ell] = r.comp
-                worker_comp[ell] = r.comp
-                if r.comp_spans or r.comp_counters:
-                    self.tracer.merge(r.comp_spans, r.comp_counters,
-                                      offset_s=offset + r.lu_wall_s,
-                                      track=f"proc{ell}")
-                self._charge_process_stage(ell, "Comp(S)", r.comp_wall_s,
-                                           r.comp.ops)
+                accept_comp(ell, r)
             else:
                 if r is not None and r.comp is not None:
                     self.tracer.count("comp_tol_redo")
                 redo.append((ell, tol_ell))
 
         if redo:
-            tasks2 = [SubdomainTask(
-                ell=ell, interfaces=subs[ell], cfg=cfg, separator_size=sep,
-                drop_interface=tol, perm=perms[ell], lu=lus[ell],
-                run_comp=True, trace=trace) for ell, tol in redo]
-            with self.tracer.span("subdomain_fanout_redo",
-                                  backend=self.backend.name,
-                                  tasks=len(tasks2)):
-                outcomes2 = self.backend.map(run_subdomain_setup, tasks2,
-                                             deadline_s=self.task_deadline_s,
-                                             speculation=self.speculation)
-            self._count_speculation(outcomes2)
-            self._book_transport([ell for ell, _ in redo], outcomes2)
-            for (ell, tol), out in zip(redo, outcomes2):
-                crashed = isinstance(
-                    out.error, (WorkerCrashError, TransportChecksumError))
-                if out.error is not None and not crashed and not out.timed_out:
-                    raise out.error
-                if crashed or out.timed_out:
-                    if out.timed_out:
-                        self.tracer.count("deadline_timeouts")
-                    self._record(
-                        "Comp(S)",
-                        "deadline-failover" if out.timed_out
-                        else "failover-root",
-                        out.error, subdomain=ell,
-                        detail=("task deadline expired"
-                                if out.timed_out
-                                else "worker process died")
-                        + "; re-executing the work on root")
-                    comps[ell] = self._run_comp_on_root(subs[ell], lus[ell],
-                                                        tol)
-                    continue
-                r = out.value
-                comps[ell] = r.comp
-                worker_comp[ell] = r.comp
-                if r.comp_spans or r.comp_counters:
-                    self.tracer.merge(r.comp_spans, r.comp_counters,
-                                      offset_s=offset, track=f"proc{ell}")
-                self._charge_process_stage(ell, "Comp(S)", r.comp_wall_s,
-                                           r.comp.ops)
+            by_ell = self._fan_out(
+                "subdomain_fanout_redo", run_subdomain_setup,
+                [task(ell, drop_interface=tol, lu=lus[ell])
+                 for ell, tol in redo])
+            for ell, tol in redo:
+                r, _ = self._triage("Comp(S)", ell, by_ell[ell])
+                if r is None:
+                    comps[ell] = self._redo_on_root(
+                        "Comp(S)", ell,
+                        self._comp_body(subs[ell], lus[ell], tol))
+                else:
+                    accept_comp(ell, r)
 
         # invariant hooks are root-owned state: replay them over every
         # reassembled worker result (inline failovers already fired them)
@@ -1401,27 +1359,22 @@ class PDSLin:
     def _assemble_and_factor_schur(self) -> None:
         cfg = self.config
         assert self.partition is not None
-        C = self.partition.C()
-        ns = C.shape[0]
-        if ns == 0:
-            self.S_tilde = C
+        if self.partition.separator_size == 0:
+            self.S_tilde = self.partition.C()
             self._s_colsum = None
             self._register_schur_checkpoint()
             return
 
         def asm_body(ledger):
             self._verify_comp_contributions()
-            updates = [(s.interfaces, s.T_tilde) for s in self.subdomains]
-            self.S_tilde = assemble_approximate_schur(
-                C, updates, drop_tol=self._drop_schur_eff,
-                tracer=self.tracer)
+            self.S_tilde = self._assemble_schur(self._drop_schur_eff)
             self._schur_drop_used = self._drop_schur_eff
             if self.verifier.enabled:
                 # reassemble without dropping to check S~ against S^
-                S_hat = assemble_approximate_schur(C, updates, drop_tol=0.0,
-                                                   tracer=NULL_TRACER)
                 self.verifier.after_schur_assembly(
-                    C, S_hat, self.S_tilde, self._drop_schur_eff)
+                    self.partition.C(),
+                    self._assemble_schur(0.0, tracer=NULL_TRACER),
+                    self.S_tilde, self._drop_schur_eff)
 
         if self._restored_schur is not None:
             # the assembled S~ (post any cond-driven rebuild of the
@@ -1442,17 +1395,17 @@ class PDSLin:
                 self._seal_schur()
             self._audit_schur(where="resume")
             base = "ilu" if rs["mode"] == "ilu" else "lu"
-            self._on_root_stage("LU(S)",
+            self._on_stage("LU(S)",
                                 lambda ledger: self._factor_schur(base,
                                                                   ledger))
             self.recovery.preconditioner_mode = rs["mode"]
         else:
-            self._on_root_stage("Comp(S)", asm_body)
+            self._on_stage("Comp(S)", asm_body)
             self._seal_schur()
             self._audit_schur(where="assembly")
             mode = cfg.schur_factorization
             try:
-                self._on_root_stage(
+                self._on_stage(
                     "LU(S)",
                     lambda ledger: self._factor_schur(mode, ledger))
                 self.recovery.preconditioner_mode = mode
@@ -1467,7 +1420,7 @@ class PDSLin:
                                     "of S~")
                 with self.tracer.span("recover", stage="LU(S)",
                                       action="ilu-to-lu"):
-                    self._on_root_stage(
+                    self._on_stage(
                         RECOVER_STAGE,
                         lambda ledger: self._factor_schur("lu", ledger))
                 self.recovery.preconditioner_mode = "lu(from-ilu)"
@@ -1480,16 +1433,8 @@ class PDSLin:
                 and self._schur_drop_used > 0.0
                 and self.recovery.preconditioner_mode != "ilu"):
 
-            def rebuild_body(ledger):
-                updates = [(s.interfaces, s.T_tilde)
-                           for s in self.subdomains]
-                self.S_tilde = assemble_approximate_schur(
-                    C, updates, drop_tol=0.0, tracer=self.tracer)
-                self._seal_schur()
-                self._factor_schur("lu", ledger)
-
             self.tracer.count("schur_cond_rebuilds")
-            self._on_root_stage("LU(S)", rebuild_body)
+            self._on_stage("LU(S)", self._rebuild_schur_undropped)
             self._schur_drop_used = 0.0
             self._drop_schur_eff = 0.0
         self._register_schur_checkpoint()
@@ -1542,23 +1487,18 @@ class PDSLin:
             self._schur_perm = sp_perm
             ledger.ops.add("LU(S)", lu_flop_count(factors))
 
+    def _rebuild_schur_undropped(self, ledger) -> None:
+        """Stage body: ``S~`` keeping *every* assembled entry (drop
+        tolerance 0), sealed and factored with full LU."""
+        self.S_tilde = self._assemble_schur(0.0)
+        self._seal_schur()
+        self._factor_schur("lu", ledger)
+
     def _refresh_schur_preconditioner(self) -> None:
-        """Rebuild ``S~`` keeping *every* assembled entry (drop
-        tolerance 0) and factor it with full LU — the recovery move
-        when GMRES stagnates on a too-aggressively-dropped
-        preconditioner. Reuses the cached per-subdomain update matrices
-        ``T~``, so no interface solves are repeated."""
-        assert self.partition is not None
-
-        def body(ledger):
-            updates = [(s.interfaces, s.T_tilde) for s in self.subdomains]
-            self.S_tilde = assemble_approximate_schur(
-                self.partition.C(), updates, drop_tol=0.0,
-                tracer=self.tracer)
-            self._seal_schur()
-            self._factor_schur("lu", ledger)
-
-        self._on_root_stage(RECOVER_STAGE, body)
+        """The recovery move when GMRES or refinement stagnates on a
+        too-aggressively-dropped preconditioner: rebuild it undropped,
+        charged to ``Recover``."""
+        self._on_stage(RECOVER_STAGE, self._rebuild_schur_undropped)
         self._schur_drop_used = 0.0
         self.recovery.preconditioner_mode = "lu(refreshed, drop_schur=0)"
 
@@ -1586,11 +1526,11 @@ class PDSLin:
         traced under ``solve`` / ``refine`` spans."""
         b = np.asarray(b, dtype=np.float64)
         check_finite(b, "b")
-        if not self._is_setup:
-            self.setup()
         if b.shape != (self.A_input.shape[0],):
             raise ValueError(f"b must have shape "
                              f"({self.A_input.shape[0]},)")
+        if not self._is_setup:
+            self.setup()
         with self.tracer.span("solve"):
             _, results, _ = self._solve_columns(b[:, None], "refine")
         return results[0]
@@ -1625,6 +1565,22 @@ class PDSLin:
             self._refresh_schur_preconditioner()
         return True
 
+    def _run_gmres(self, matvec, g: np.ndarray,
+                   x0: np.ndarray | None = None):
+        """One preconditioned GMRES run on ``S y = g`` under a fresh
+        root ``Solve`` stage — the first attempt and every restart of
+        the Krylov ladders."""
+        cfg = self.config
+
+        def body(ledger):
+            return gmres(matvec, g, preconditioner=self._precondition,
+                         x0=x0, tol=cfg.gmres_tol,
+                         restart=cfg.gmres_restart,
+                         maxiter=cfg.gmres_maxiter,
+                         flexible=(cfg.krylov == "fgmres"),
+                         tracer=self.tracer)
+        return self._on_stage("Solve", body)
+
     def _solve_schur_system(self, matvec, g: np.ndarray, *,
                             x0: np.ndarray | None = None):
         """One Krylov attempt on the Schur system, then the recovery
@@ -1638,17 +1594,6 @@ class PDSLin:
         previous column's solution); recovery retries keep their own
         warm starts."""
         cfg = self.config
-
-        def run_gmres(x0=None):
-            def body(ledger):
-                return gmres(matvec, g, preconditioner=self._precondition,
-                             x0=x0, tol=cfg.gmres_tol,
-                             restart=cfg.gmres_restart,
-                             maxiter=cfg.gmres_maxiter,
-                             flexible=(cfg.krylov == "fgmres"),
-                             tracer=self.tracer)
-            return self._on_root_stage("Solve", body)
-
         if cfg.krylov == "bicgstab":
             from repro.solver.bicgstab import bicgstab
 
@@ -1660,7 +1605,7 @@ class PDSLin:
                                 maxiter=cfg.gmres_maxiter,
                                 audit_every=25 if self._abft_on() else 0,
                                 tracer=self.tracer)
-            res = self._on_root_stage("Solve", body)
+            res = self._on_stage("Solve", body)
             if res.converged:
                 return res
             err = KrylovBreakdownError(
@@ -1671,9 +1616,9 @@ class PDSLin:
                          detail="falling back BiCGSTAB -> GMRES")
             with self.tracer.span("recover", stage="Solve",
                                   action="krylov-fallback"):
-                res = run_gmres(x0=res.x)
+                res = self._run_gmres(matvec, g, res.x)
         else:
-            res = run_gmres(x0=x0)
+            res = self._run_gmres(matvec, g, x0)
 
         if not res.converged:
             err = KrylovBreakdownError(
@@ -1687,69 +1632,75 @@ class PDSLin:
             with self.tracer.span("recover", stage="Solve",
                                   action="precond-refresh"):
                 self._refresh_schur_preconditioner()
-            res = run_gmres(x0=res.x)
-        return self._audit_krylov(matvec, g, res, run_gmres)
-
-    def _krylov_drift(self, matvec, g, res, *,
-                      trust_flag: bool = True) -> tuple[bool, str]:
-        """One drift audit of a Krylov result: recompute the true
-        residual and compare with what the solver claims (plus any
-        drift flag the solver raised internally). ``trust_flag=False``
-        judges by the final true residual alone — a warm restart from a
-        far-off iterate legitimately loses orthogonality mid-run, so
-        its advisory in-run flag is not evidence of corruption."""
-        cfg = self.config
-        with self.tracer.span("abft_verify", stage="Solve"):
-            self.tracer.count("sdc_checks")
-            true_r = float(np.linalg.norm(g - matvec(res.x)))
-            claimed = float(res.final_residual)
-            if not np.isfinite(claimed):
-                claimed = 0.0
-            gnorm = float(np.linalg.norm(g))
-            suspected = (trust_flag
-                         and bool(getattr(res, "drift_detected", False))) or \
-                true_r > 100.0 * max(claimed, cfg.gmres_tol * gnorm)
-        return suspected, (f"true residual {true_r:.3e} vs claimed "
-                           f"{claimed:.3e}")
-
-    def _audit_krylov(self, matvec, g, res, run_gmres):
-        """Krylov drift audit + the ``krylov`` bit-flip injection seam
-        (injection runs even with ``abft=off``). A flagged iterate is
-        suspected SDC in the Krylov state; recovery discards that state
-        and warm-restarts GMRES from the flagged iterate, preserving
-        the preconditioner."""
+            res = self._run_gmres(matvec, g, res.x)
         abft.maybe_bitflip("krylov", (res.x,))
         if not self._abft_on() or res.x.size == 0:
             return res
-        suspected, detail = self._krylov_drift(matvec, g, res)
+        true_r, gnorm = self._true_residuals(matvec, g, res.x)
+        return self._audit_krylov(matvec, g, res, true_r, gnorm)
+
+    def _true_residuals(self, matvec, G: np.ndarray, X: np.ndarray):
+        """The detector of the Krylov drift audit: ``||G - S X||`` and
+        ``||G||`` — per column, off ONE block matvec, when ``X`` is a
+        block."""
+        with self.tracer.span("abft_verify", stage="Solve"):
+            self.tracer.count("sdc_checks")
+            if X.ndim == 1:
+                return (float(np.linalg.norm(G - matvec(X))),
+                        float(np.linalg.norm(G)))
+            return (np.linalg.norm(G - matvec(X), axis=0),
+                    np.linalg.norm(G, axis=0))
+
+    def _krylov_drift(self, res, true_r: float, gnorm: float, *,
+                      trust_flag: bool = True) -> tuple[bool, str]:
+        """Judge one Krylov result by its true residual against what
+        the solver claims (plus any drift flag the solver raised
+        internally). ``trust_flag=False`` judges by the true residual
+        alone — a warm restart from a far-off iterate legitimately
+        loses orthogonality mid-run, so its advisory in-run flag is not
+        evidence of corruption."""
+        claimed = float(res.final_residual)
+        if not np.isfinite(claimed):
+            claimed = 0.0
+        suspected = (trust_flag
+                     and bool(getattr(res, "drift_detected", False))) or \
+            true_r > 100.0 * max(claimed, self.config.gmres_tol * gnorm)
+        return suspected, (f"true residual {true_r:.3e} vs claimed "
+                           f"{claimed:.3e}")
+
+    def _audit_krylov(self, matvec, g: np.ndarray, res, true_r: float,
+                      gnorm: float, *, column: int | None = None):
+        """Krylov drift audit of one Schur solve given its true
+        residual. A flagged iterate is suspected SDC in the Krylov
+        state; recovery discards that state and warm-restarts GMRES
+        from the flagged iterate, preserving the preconditioner, and
+        re-judges the restart by its true residual alone."""
+        suspected, detail = self._krylov_drift(res, true_r, gnorm)
         if not suspected:
             return res
-        err = SdcDetectedError(
-            f"Krylov residual drift: {detail}", site="krylov",
-            stage="Solve")
-        self.tracer.count("sdc_detected")
-        self._record("Solve", "sdc-detected", err, detail=detail)
-        if not abft.abft_recover(self.config.abft):
-            self._record("Solve", "sdc-unrecoverable", err,
-                         detail="abft=detect: corruption reported but not "
-                                "repaired; the returned iterate may be "
-                                "corrupt")
-            return res
-        with self.tracer.span("recover", stage="Solve",
-                              action="sdc-krylov-restart"):
-            fresh = run_gmres(x0=res.x)
-        suspected2, detail2 = self._krylov_drift(matvec, g, fresh,
-                                                 trust_flag=False)
-        if suspected2 or not fresh.converged:
-            self._record("Solve", "sdc-unrecoverable", err,
-                         detail="warm restart did not clear the drift: "
-                                + detail2)
-            return fresh
-        self.tracer.count("sdc_recovered")
-        self._record("Solve", "sdc-recovered", err,
-                     detail="corrupt Krylov state discarded; GMRES "
-                            "warm-restarted from the flagged iterate")
-        return fresh
+        if column is not None:
+            detail += f" (column {column})"
+
+        def repair():
+            nonlocal res
+            with self.tracer.span("recover", stage="Solve",
+                                  action="sdc-krylov-restart"):
+                res = self._run_gmres(matvec, g, res.x)
+            still, detail2 = self._krylov_drift(
+                res, *self._true_residuals(matvec, g, res.x),
+                trust_flag=False)
+            if still or not res.converged:
+                return "warm restart did not clear the drift: " + detail2
+
+        err = SdcDetectedError(f"Krylov residual drift: {detail}",
+                               site="krylov", stage="Solve")
+        self._sdc_ladder(
+            "Solve", [(err, detail, None)], repair=repair,
+            unrepaired="abft=detect: corruption reported but not repaired; "
+                       "the returned iterate may be corrupt",
+            recovered="corrupt Krylov state discarded; GMRES warm-restarted "
+                      "from the flagged iterate")
+        return res
 
     def _run_with_factor_sweep(self, run_once: Callable):
         """Run one solve pass under the solve-phase ABFT sweep: every
@@ -1764,57 +1715,35 @@ class PDSLin:
         bad = self._sweep_factor_audits()
         if not bad:
             return res
-        errs = []
-        for ell, detail in bad:
-            err = SdcDetectedError(
+
+        def repair():
+            nonlocal res
+            with self.tracer.span("recover", stage="Solve",
+                                  action="sdc-refactorize"):
+                for ell, _ in bad:
+                    s = self.subdomains[ell]
+                    # the fresh handle recipe goes along, for solve-
+                    # phase fan-outs against the fresh factors
+                    s.factors, s.handle_thresh = factorize_subdomain(
+                        s.permuted_D(), self.config, stage="Solve", ell=ell,
+                        report=self.recovery, tracer=self.tracer)
+            res = run_once()
+            still = self._sweep_factor_audits()
+            if still:
+                return "checksum still violated after refactorization: " \
+                    + "; ".join(detail for _, detail in still)
+
+        self._sdc_ladder(
+            "Solve",
+            [(SdcDetectedError(
                 f"solve-phase checksum violated for subdomain {ell}: "
-                f"{detail}", site="solve", stage="Solve", subdomain=ell)
-            errs.append(err)
-            self.tracer.count("sdc_detected")
-            self._record("Solve", "sdc-detected", err, subdomain=ell,
-                         detail=detail)
-        if not abft.abft_recover(self.config.abft):
-            for (ell, _), err in zip(bad, errs):
-                self._record("Solve", "sdc-unrecoverable", err,
-                             subdomain=ell,
-                             detail="abft=detect: corruption reported but "
-                                    "not repaired; the solution may be "
-                                    "corrupt")
-            return res
-        with self.tracer.span("recover", stage="Solve",
-                              action="sdc-refactorize"):
-            for (ell, _), err in zip(bad, errs):
-                s = self.subdomains[ell]
-                Dp = s.interfaces.D[s.perm][:, s.perm].tocsc()
-                n_events = len(self.recovery.events)
-                factors, _ = factorize_resilient(
-                    Dp, diag_pivot_thresh=self.config.diag_pivot_thresh,
-                    stage="Solve", subdomain=ell, report=self.recovery,
-                    tracer=self.tracer)
-                # keep the handle recipe current for solve-phase
-                # fan-outs against the fresh factors
-                s.handle_thresh = self.config.diag_pivot_thresh
-                for ev in self.recovery.events[n_events:]:
-                    if ev.action == "full-pivot":
-                        s.handle_thresh = 1.0
-                    elif ev.action == "static-pivot":
-                        s.handle_thresh = None
-                abft.attach_factor_checksums(factors, Dp)
-                s.factors = factors
-        res = run_once()
-        bad2 = self._sweep_factor_audits()
-        if bad2:
-            for ell, detail in bad2:
-                self._record(
-                    "Solve", "sdc-unrecoverable", errs[0], subdomain=ell,
-                    detail="checksum still violated after refactorization: "
-                           + detail)
-            return res
-        for (ell, _), err in zip(bad, errs):
-            self.tracer.count("sdc_recovered")
-            self._record("Solve", "sdc-recovered", err, subdomain=ell,
-                         detail="subdomain refactorized from its pristine "
-                                "interface matrix; solve pass redone")
+                f"{detail}", site="solve", stage="Solve", subdomain=ell),
+              detail, ell) for ell, detail in bad],
+            repair=repair,
+            unrepaired="abft=detect: corruption reported but not repaired; "
+                       "the solution may be corrupt",
+            recovered="subdomain refactorized from its pristine interface "
+                      "matrix; solve pass redone")
         return res
 
     # -- batched multi-RHS solve ------------------------------------------
@@ -1839,78 +1768,40 @@ class PDSLin:
         factors to a pool costs, and the 1-D SuperLU / checksum-audit
         calls are the cheap ones."""
         one_column = rhs_blocks[0].shape[1] == 1
+
+        def solving(s, rhs):
+            if one_column:
+                return lambda ledger: s.factors.solve(rhs[:, 0])[:, None]
+            return lambda ledger: s.factors.solve(rhs)
+
         if self.backend.inline or one_column:
-            outs = []
-            for s, rhs in zip(self.subdomains, rhs_blocks):
-                def body(ledger, s=s, rhs=rhs):
-                    if one_column:
-                        return s.factors.solve(rhs[:, 0])[:, None]
-                    return s.factors.solve(rhs)
-                outs.append(self._on_subdomain(s.interfaces.ell, "Solve",
-                                               body))
-            return outs
+            return [self._on_stage("Solve", solving(s, rhs), s.interfaces.ell)
+                    for s, rhs in zip(self.subdomains, rhs_blocks)]
 
         validate_chaos_env()
-        fates = [self._stage_fate("Solve", s.interfaces.ell)
-                 for s in self.subdomains]
-        tasks, task_ell = [], []
-        for s, rhs, fate in zip(self.subdomains, rhs_blocks, fates):
-            if fate != "run":
+        tasks = []
+        for s, rhs in zip(self.subdomains, rhs_blocks):
+            if not self._ships("Solve", s.interfaces.ell):
                 continue
-            Dp = None
-            if s.factors.handle is not None and s.handle_thresh is not None:
-                # the factors pickle handle-less; ship the permuted
-                # interface matrix so the worker can re-attach one
-                Dp = s.interfaces.D[s.perm][:, s.perm].tocsc()
+            # the factors pickle handle-less; ship the permuted
+            # interface matrix so the worker can re-attach one
+            ship_D = s.factors.handle is not None \
+                and s.handle_thresh is not None
             tasks.append(BlockSolveTask(
                 ell=s.interfaces.ell, rhs=rhs, factors=s.factors,
-                Dp=Dp, handle_thresh=s.handle_thresh,
+                Dp=s.permuted_D() if ship_D else None,
+                handle_thresh=s.handle_thresh,
                 token=factors_token(s.factors)))
-            task_ell.append(s.interfaces.ell)
-
-        with self.tracer.span("solve_fanout", backend=self.backend.name,
-                              workers=self.backend.workers,
-                              tasks=len(tasks)):
-            outcomes = self.backend.map(run_block_solve, tasks,
-                                        deadline_s=self.task_deadline_s,
-                                        speculation=self.speculation)
-        self._count_speculation(outcomes)
-        self._book_transport(task_ell, outcomes)
-        by_ell = dict(zip(task_ell, outcomes))
+        by_ell = self._fan_out("solve_fanout", run_block_solve, tasks)
 
         outs = []
-        for s, rhs, fate in zip(self.subdomains, rhs_blocks, fates):
+        for s, rhs in zip(self.subdomains, rhs_blocks):
             ell = s.interfaces.ell
-            out = by_ell.get(ell)
-            crashed = out is not None and \
-                isinstance(out.error,
-                           (WorkerCrashError, TransportChecksumError))
-            timed = out is not None and out.timed_out
-            if out is not None and out.error is not None \
-                    and not crashed and not timed:
-                raise out.error  # real numerical error: propagate as serial
-            if fate != "run" or crashed or timed:
-                if crashed:
-                    self._record("Solve", "failover-root", out.error,
-                                 subdomain=ell,
-                                 detail=("untrusted result payload"
-                                         if isinstance(
-                                             out.error,
-                                             TransportChecksumError)
-                                         else "worker process died")
-                                 + "; re-executing the work on root")
-                elif timed:
-                    self.tracer.count("deadline_timeouts")
-                    self._record("Solve", "deadline-failover", out.error,
-                                 subdomain=ell,
-                                 detail="task deadline expired; "
-                                        "re-executing the work on root")
-                with self.tracer.span("recover", stage="Solve",
-                                      action="failover-root", l=ell), \
-                        self.machine.on_root(RECOVER_STAGE):
-                    outs.append(s.factors.solve(rhs))
+            r, _ = self._triage("Solve", ell, by_ell.get(ell))
+            if r is None:
+                outs.append(self._redo_on_root("Solve", ell,
+                                               solving(s, rhs)))
                 continue
-            r = out.value
             # fold the worker-local solve-audit counters back into the
             # parent's factor checksums, where _sweep_factor_audits
             # collects them (the worker audited a pickled copy)
@@ -1949,7 +1840,7 @@ class PDSLin:
                                    restart=cfg.gmres_restart,
                                    maxiter=cfg.gmres_maxiter,
                                    tracer=self.tracer)
-            blk = self._on_root_stage("Solve", body)
+            blk = self._on_stage("Solve", body)
             results, Y = self._audit_krylov_block(matvec, G, blk)
             for j in range(p):
                 if results[j].converged:
@@ -1973,14 +1864,12 @@ class PDSLin:
         return results, Y
 
     def _audit_krylov_block(self, matvec, G: np.ndarray, blk):
-        """Block-mode counterpart of :meth:`_audit_krylov`: the
-        ``krylov`` bit-flip seam lands in the solution block, and ONE
-        block matvec audits every column at once instead of one audit
-        matvec per column. Suspected columns are warm-restarted
-        individually (per-column GMRES, preserving the preconditioner)
-        and re-audited by the final true residual alone."""
-        cfg = self.config
-        p = G.shape[1]
+        """Block-mode entry to :meth:`_audit_krylov`: the ``krylov``
+        bit-flip seam lands in the solution block, ONE block matvec
+        gives every column's true residual (instead of one audit matvec
+        per column), and each column then goes through the same judge
+        and ladder a per-column solve does (block results carry no
+        in-run drift flag, so the true residual decides)."""
         Y = blk.x
         abft.maybe_bitflip("krylov", (Y,))
         results = [GMRESResult(x=Y[:, j].copy(),
@@ -1988,64 +1877,14 @@ class PDSLin:
                                iterations=int(blk.iterations),
                                residual_norms=[float(blk.residual_norms[j])],
                                stagnated=bool(blk.stagnated))
-                   for j in range(p)]
-        if not self._abft_on() or Y.size == 0:
-            return results, Y
-        with self.tracer.span("abft_verify", stage="Solve"):
-            self.tracer.count("sdc_checks")
-            true_r = np.linalg.norm(G - matvec(Y), axis=0)
-            gnorm = np.linalg.norm(G, axis=0)
-
-        def run_gmres_col(j, x0):
-            def body(ledger):
-                return gmres(matvec, G[:, j],
-                             preconditioner=self._precondition, x0=x0,
-                             tol=cfg.gmres_tol,
-                             restart=cfg.gmres_restart,
-                             maxiter=cfg.gmres_maxiter,
-                             flexible=(cfg.krylov == "fgmres"),
-                             tracer=self.tracer)
-            return self._on_root_stage("Solve", body)
-
-        for j in range(p):
-            claimed = float(results[j].final_residual)
-            if not np.isfinite(claimed):
-                claimed = 0.0
-            # block results carry no in-run drift flag; judge by the
-            # true residual, as a warm restart re-audit would
-            suspected = float(true_r[j]) > 100.0 * max(
-                claimed, cfg.gmres_tol * float(gnorm[j]))
-            if not suspected:
-                continue
-            detail = (f"true residual {float(true_r[j]):.3e} vs claimed "
-                      f"{claimed:.3e} (column {j})")
-            err = SdcDetectedError(
-                f"Krylov residual drift: {detail}", site="krylov",
-                stage="Solve")
-            self.tracer.count("sdc_detected")
-            self._record("Solve", "sdc-detected", err, detail=detail)
-            if not abft.abft_recover(cfg.abft):
-                self._record("Solve", "sdc-unrecoverable", err,
-                             detail="abft=detect: corruption reported but "
-                                    "not repaired; the returned iterate "
-                                    "may be corrupt")
-                continue
-            with self.tracer.span("recover", stage="Solve",
-                                  action="sdc-krylov-restart"):
-                fresh = run_gmres_col(j, results[j].x)
-            suspected2, detail2 = self._krylov_drift(matvec, G[:, j], fresh,
-                                                     trust_flag=False)
-            results[j] = fresh
-            Y[:, j] = fresh.x
-            if suspected2 or not fresh.converged:
-                self._record("Solve", "sdc-unrecoverable", err,
-                             detail="warm restart did not clear the "
-                                    "drift: " + detail2)
-                continue
-            self.tracer.count("sdc_recovered")
-            self._record("Solve", "sdc-recovered", err,
-                         detail="corrupt Krylov state discarded; GMRES "
-                                "warm-restarted from the flagged iterate")
+                   for j in range(G.shape[1])]
+        if self._abft_on() and Y.size:
+            true_r, gnorm = self._true_residuals(matvec, G, Y)
+            for j, res in enumerate(results):
+                results[j] = self._audit_krylov(
+                    matvec, G[:, j], res, float(true_r[j]), float(gnorm[j]),
+                    column=j)
+                Y[:, j] = results[j].x
         return results, Y
 
     def _solve_block_once(self, B: np.ndarray) -> _BlockSolve:
@@ -2081,7 +1920,7 @@ class PDSLin:
         def fold_forward(ledger):
             for s, Fp, UL in zip(self.subdomains, plan.F_perm, d_solutions):
                 G[s.interfaces.f_rows] -= Fp @ UL
-        self._on_root_stage("Solve", fold_forward)
+        self._on_stage("Solve", fold_forward)
         matvec = plan.matvec
         results, Y = self._solve_schur_block(matvec, G)
         for j in range(nrhs):
@@ -2089,7 +1928,7 @@ class PDSLin:
         X[sep] = Y
 
         # back substitution: U_l = D^{-1}(F_l - E_l Y), again batched
-        rhs2 = self._on_root_stage("Solve", lambda ledger: [
+        rhs2 = self._on_stage("Solve", lambda ledger: [
             Ep @ Y[s.interfaces.e_cols]
             for s, Ep in zip(self.subdomains, plan.E_perm)])
         corrections = self._block_subdomain_solves(rhs2)
@@ -2206,10 +2045,10 @@ class PDSLin:
         if B.ndim != 2:
             raise ValueError("B must be a 2-D (n, nrhs) array")
         check_finite(B, "B")
-        if not self._is_setup:
-            self.setup()
         if B.shape[0] != self.A_input.shape[0]:
             raise ValueError(f"B must be ({self.A_input.shape[0]}, nrhs)")
+        if not self._is_setup:
+            self.setup()
         nrhs = B.shape[1]
         if nrhs == 0:
             return BlockResult(X=np.empty((self.A_input.shape[0], 0)),

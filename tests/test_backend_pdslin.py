@@ -10,10 +10,21 @@ import pytest
 from tests.conftest import grid_laplacian, random_unsymmetric
 
 from repro.obs import Tracer
-from repro.parallel.exec import ProcessBackend, ThreadBackend, get_backend
-from repro.resilience import FaultPlan, FaultSpec
+from repro.parallel.exec import (
+    ProcessBackend,
+    TaskOutcome,
+    ThreadBackend,
+    get_backend,
+)
+from repro.resilience import (
+    FaultPlan,
+    FaultSpec,
+    TaskDeadlineError,
+    TransportChecksumError,
+    WorkerCrashError,
+)
 from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
-from repro.solver.partasks import ENV_CRASH_SUBDOMAIN
+from repro.solver.partasks import ENV_CRASH_SUBDOMAIN, run_subdomain_setup
 
 
 def _cfg(**kw) -> PDSLinConfig:
@@ -155,6 +166,52 @@ class TestDropToleranceRedo:
         assert tracer.counters.get("comp_tol_redo", 0) >= 1
         names = [s.name for s in tracer.spans]
         assert "subdomain_fanout_redo" in names
+
+    @pytest.mark.parametrize("lost, action, why", [
+        (dict(error=TransportChecksumError("digest mismatch, twice"),
+              transport_retries=2),
+         "failover-root", "untrusted result payload"),
+        (dict(error=WorkerCrashError("worker died")),
+         "failover-root", "worker process died"),
+        (dict(error=TaskDeadlineError("too slow", deadline_s=1.0),
+              timed_out=True),
+         "deadline-failover", "task deadline expired"),
+    ], ids=["transport", "crash", "deadline"])
+    def test_redo_round_loses_its_results(self, lost, action, why):
+        # every task of the second set-up fan-out (the redo round) comes
+        # back lost: the same triage as the first round fails each over
+        # to the root, says why (a twice-failed transport digest used to
+        # be reported as a dead worker here), and the answer is serial's
+        class LosesTheRedoRound(ThreadBackend):
+            setup_maps = 0
+
+            def map(self, fn, payloads, **kw):
+                if fn is run_subdomain_setup:
+                    self.setup_maps += 1
+                    if self.setup_maps == 2:
+                        return [TaskOutcome(index=i, **lost)
+                                for i in range(len(payloads))]
+                return super().map(fn, payloads, **kw)
+
+        A = random_unsymmetric(80, 0.08, seed=5)
+        cfg = dict(cond_threshold=1.0)
+        _, ref = _solve(A, "serial", cfg=_cfg(**cfg))
+        backend = LosesTheRedoRound(workers=2)
+        try:
+            solver, par = _solve(A, backend, cfg=_cfg(**cfg))
+        finally:
+            backend.close()
+        assert backend.setup_maps == 2
+        assert par.x.tobytes() == ref.x.tobytes()
+        assert par.degraded
+        redone = [e for e in solver.recovery.events if e.stage == "Comp(S)"]
+        assert redone and all(
+            e.action == action and e.detail
+            == why + "; re-executing the work on root" for e in redone)
+        detected = [e.subdomain for e in solver.recovery.events
+                    if (e.stage, e.action) == ("Transport", "sdc-detected")]
+        assert detected == ([e.subdomain for e in redone]
+                            if "transport_retries" in lost else [])
 
 
 class TestBackendSelection:

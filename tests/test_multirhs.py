@@ -193,6 +193,28 @@ class TestAbftInterplay:
             assert r.converged
             assert r.residual_norm < 1e-10
 
+    def test_krylov_flip_in_block_gmres_iterate(self):
+        # the seam lands in the 2-D iterate of the block run (it raised
+        # a TypeError there before flip_bits took blocks); the block
+        # audit names the column and restarts only that one
+        A = grid_laplacian(16, 16)
+        B = _block(A)
+        os.environ[abft.ENV_BITFLIP_TARGET] = "krylov"
+        os.environ[abft.ENV_BITFLIP_SEED] = "3"
+        abft.reset_bitflip_state()
+        tr = Tracer()
+        solver = PDSLin(A, _cfg(abft="detect+recover", block_gmres=True),
+                        runtime=RuntimeOptions(tracer=tr))
+        res = solver.solve_block(B)
+        events = [(e.action, e.detail) for e in solver.recovery.events]
+        assert [a for a, _ in events] == ["sdc-detected", "sdc-recovered"]
+        assert "(column " in events[0][1]
+        assert tr.counters["sdc_detected"] == tr.counters["sdc_recovered"] == 1
+        clean = PDSLin(A, _cfg(block_gmres=True)).solve_block(B)
+        for r, c in zip(res, clean):
+            assert r.converged and r.residual_norm < 1e-10
+            assert np.allclose(r.x, c.x)
+
     def test_factor_corruption_swept_and_refactorized(self):
         A = grid_laplacian(16, 16)
         B = _block(A)

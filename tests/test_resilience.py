@@ -18,11 +18,13 @@ from repro.resilience import (
     RecoveryReport,
     RetryPolicy,
     SchurFactorizationError,
+    SdcDetectedError,
     SingularSubdomainError,
     SolverError,
     emit_recovery,
     factorize_resilient,
     run_with_retry,
+    sdc_ladder,
 )
 
 
@@ -350,16 +352,17 @@ class TestFactorizeResilient:
     def test_ladder_escalates_to_static_pivot(self):
         rep = RecoveryReport()
         tracer = Tracer()
-        factors, perturbations = factorize_resilient(
+        factors, handle_thresh = factorize_resilient(
             _singular4(), diag_pivot_thresh=0.0, subdomain=1,
             report=rep, tracer=tracer)
-        assert perturbations >= 1
-        assert rep.perturbed_pivots == perturbations
+        # the static-pivot rung keeps no SuperLU handle to re-attach
+        assert handle_thresh is None and factors.handle is None
+        assert rep.perturbed_pivots >= 1
         assert rep.degraded
         actions = rep.actions()
         assert actions.get("full-pivot") == 1
         assert actions.get("static-pivot") == 1
-        assert tracer.counters["perturbed_pivots"] == perturbations
+        assert tracer.counters["perturbed_pivots"] == rep.perturbed_pivots
         # the perturbed factors are still usable
         b = np.ones(4)
         x = factors.solve(b)
@@ -368,7 +371,114 @@ class TestFactorizeResilient:
     def test_ladder_no_events_on_healthy_matrix(self):
         rep = RecoveryReport()
         A = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        factors, perturbations = factorize_resilient(A, report=rep)
-        assert perturbations == 0 and rep.healthy
+        factors, handle_thresh = factorize_resilient(A, report=rep)
+        # first rung: the handle recipe is the caller's own threshold
+        assert handle_thresh == 0.0 and rep.healthy
+        assert rep.perturbed_pivots == 0
         x = factors.solve(np.array([1.0, 2.0]))
         np.testing.assert_allclose(A.toarray() @ x, [1.0, 2.0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the silent-data-corruption ladder, on fake detectors and repairs
+# ---------------------------------------------------------------------------
+
+class TestSdcLadder:
+    DETAILS = dict(unrepaired="reported, not repaired",
+                   recovered="repaired and re-verified")
+
+    @staticmethod
+    def _finding(ell=None, detail="checksum off"):
+        return (SdcDetectedError("boom", site="lu", subdomain=ell), detail,
+                ell)
+
+    def _climb(self, findings, *, recover, repair, **details):
+        tracer, report = Tracer(), RecoveryReport()
+        calls = []
+
+        def spy():
+            calls.append(len(report.events))
+            return repair()
+
+        ok = sdc_ladder(tracer, report, "LU(D)", findings, recover=recover,
+                        repair=spy, **{**self.DETAILS, **details})
+        log = [(e.action, e.subdomain, e.detail) for e in report.events]
+        return ok, log, tracer.counters, report, calls
+
+    def test_detect_only_reports_and_stops(self):
+        ok, log, counters, report, calls = self._climb(
+            [self._finding(2)], recover=False, repair=lambda: None)
+        assert not ok and not calls          # the repair never ran
+        assert log == [("sdc-detected", 2, "checksum off"),
+                       ("sdc-unrecoverable", 2, "reported, not repaired")]
+        assert counters["sdc_detected"] == 1
+        assert "sdc_recovered" not in counters
+        assert report.degraded
+
+    def test_clean_repair_recovers(self):
+        ok, log, counters, report, calls = self._climb(
+            [self._finding(2)], recover=True, repair=lambda: None)
+        assert ok and calls == [1]           # after the detection event
+        assert log == [("sdc-detected", 2, "checksum off"),
+                       ("sdc-recovered", 2, "repaired and re-verified")]
+        assert counters["sdc_detected"] == counters["sdc_recovered"] == 1
+        assert not report.degraded
+        assert {e.error for e in report.events} == {"SdcDetectedError"}
+
+    def test_dirty_repair_says_what_is_still_wrong(self):
+        ok, log, counters, report, _ = self._climb(
+            [self._finding()], recover=True,
+            repair=lambda: "still off by 3e-2")
+        assert not ok
+        assert log == [("sdc-detected", None, "checksum off"),
+                       ("sdc-unrecoverable", None, "still off by 3e-2")]
+        assert "sdc_recovered" not in counters
+        assert report.degraded
+
+    @pytest.mark.parametrize("still_wrong, verdict", [
+        (None, ("sdc-recovered", "repaired and re-verified")),
+        ("both still off", ("sdc-unrecoverable", "both still off")),
+    ])
+    def test_batch_is_reported_then_repaired_once_then_judged(
+            self, still_wrong, verdict):
+        # the solve-phase sweep's order: every detection first, ONE
+        # repair for the batch, then one verdict per finding
+        batch = [self._finding(1, "d1"), self._finding(3, "d3")]
+        ok, log, counters, _, calls = self._climb(
+            batch, recover=True, repair=lambda: still_wrong)
+        assert ok == (still_wrong is None)
+        assert calls == [2]
+        assert log == [("sdc-detected", 1, "d1"), ("sdc-detected", 3, "d3"),
+                       (verdict[0], 1, verdict[1]),
+                       (verdict[0], 3, verdict[1])]
+        assert counters["sdc_detected"] == 2
+        assert counters.get("sdc_recovered", 0) == (2 if ok else 0)
+
+    def test_no_verdict_when_the_caller_escalates(self):
+        # unrepaired=None: a result that failed its transport digest
+        # twice is failed over by the fan-out triage, not judged here
+        ok, log, _, report, calls = self._climb(
+            [self._finding(0)], recover=False, repair=lambda: None,
+            unrepaired=None)
+        assert not ok and not calls
+        assert log == [("sdc-detected", 0, "checksum off")]
+        assert not report.degraded
+
+    def test_never_entered_on_a_clean_solve(self, monkeypatch):
+        from tests.conftest import grid_laplacian
+
+        from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
+        from repro.solver import partasks, pdslin
+
+        entered = []
+        for module in (pdslin, partasks):
+            monkeypatch.setattr(module, "sdc_ladder",
+                                lambda *a, **kw: entered.append(a))
+        A = grid_laplacian(12, 12)
+        tracer = Tracer()
+        res = PDSLin(A, PDSLinConfig(k=4, abft="detect+recover"),
+                     runtime=RuntimeOptions(tracer=tracer)).solve(
+                         np.ones(A.shape[0]))
+        assert res.converged and tracer.counters["sdc_checks"] > 0
+        assert not entered
+

@@ -126,7 +126,7 @@ class TestFaultInjectionEndToEnd:
 class TestRootSolveFault:
     """Every root-side piece of the solve phase (the ``F^_l U_l`` /
     ``E^_l Y`` products as much as the Krylov solve) enters the root's
-    ``Solve`` stage through the retrying ``_on_root_stage``, whichever
+    ``Solve`` stage through the retrying ``_on_stage``, whichever
     entry point was called."""
 
     @staticmethod

@@ -6,9 +6,11 @@ import scipy.sparse as sp
 from tests.conftest import grid_laplacian
 
 from repro.core import build_dbbd
+from repro.obs import Tracer
 from repro.solver import (
     PDSLin,
     PDSLinConfig,
+    RuntimeOptions,
     assemble_approximate_schur,
     drop_small_entries,
     extract_interfaces,
@@ -205,10 +207,18 @@ class TestPDSLin:
         assert res.schur_size == solver.partition.separator_size
 
     def test_wrong_rhs_shape(self):
-        A = grid_laplacian(8, 8)
-        solver = PDSLin(A, PDSLinConfig(k=2, seed=0))
-        with pytest.raises(ValueError):
-            solver.solve(np.ones(3))
+        # rejected from the constructor's shape, before the on-demand
+        # set-up is paid for (it used to run first)
+        A = grid_laplacian(12, 12)
+        tracer = Tracer()
+        solver = PDSLin(A, PDSLinConfig(k=2, seed=0),
+                        runtime=RuntimeOptions(tracer=tracer))
+        with pytest.raises(ValueError, match=r"^b must have shape \(144,\)$"):
+            solver.solve(np.ones(7))
+        with pytest.raises(ValueError, match=r"^B must be \(144, nrhs\)$"):
+            solver.solve_block(np.ones((7, 2)))
+        assert not solver._is_setup
+        assert "partition" not in {s.name for s in tracer.spans}
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,12 @@ array-native rewrite), never to make a failing test pass::
 
     PYTHONPATH=src python tools/record_symbolic_golden.py
 
+The ``solve/`` and ``ladder/`` groups extend the same contract from
+kernels to solver behaviour (answers; recovery logs under faults) and
+were recorded later, each from the commit before the refactor it
+guards (``--groups PREFIX --commit SHA``; see ``recorded_from_groups``
+in the file).
+
 Each row is ``[case id, digest of the inputs, digest of the output]``
 in pipeline order. Later inputs are built from earlier outputs (a
 factor ``L`` depends on the ordering that produced it), and SuperLU /
@@ -31,9 +37,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 import tempfile
+from collections import Counter
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -45,6 +54,7 @@ import numpy as np
 import scipy
 import scipy.sparse as sp
 
+import repro.solver.pdslin as pdslin_module
 from repro.lu import (
     SupernodalLower,
     detect_supernodes,
@@ -65,7 +75,15 @@ from repro.ordering import (
     symbolic_cholesky_row_counts,
     tree_level,
 )
+from repro.obs.tracer import Tracer
+from repro.parallel.exec import ENV_TRANSPORT_CHECKSUM, get_backend
+from repro.resilience import FaultPlan, FaultSpec, SolverError, abft
 from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
+from repro.solver.partasks import (
+    ENV_CRASH_SUBDOMAIN,
+    ENV_STRAGGLE_S,
+    ENV_STRAGGLE_SUBDOMAIN,
+)
 from repro.sparse import symmetrized
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / \
@@ -489,6 +507,252 @@ def solve_rows(name: str) -> list[list[str]]:
     return rows
 
 
+# -- recovery-ladder scenarios (``ladder/`` groups) --------------------------
+#
+# What the solver does *after* something went wrong is a contract too:
+# which events it records in which order, whether the run ends degraded,
+# which spans and counters the repair leaves behind, and the answer.
+# Every scenario below runs the tiny ``matrix211`` problem (k=4, ~0.15 s
+# a run) under one fault and records four rows: the ordered event log
+# ``(stage, action, subdomain, attempt, detail)`` with ``degraded`` and
+# ``preconditioner_mode``; the tracer counters (``noise:`` and
+# ``speculation_*`` are wall-time dependent and left out); the span-name
+# multiset; the answer bytes (or the exception type).
+#
+# Race-free by construction: a crash drill runs on ONE pool worker (the
+# tasks before the victim complete, the victim and everything behind it
+# come back as crashes; with two workers it is a race which neighbours
+# finish first), the transport flip under a pooled block solve likewise
+# (the seam is one-shot *per worker process*), and the straggler sleeps
+# far longer than its deadline, which in turn is far longer than the
+# other three tasks take on the remaining worker.
+
+LADDER_MATRIX = "matrix211"
+_LADDER_ENV = (abft.ENV_BITFLIP_TARGET, abft.ENV_BITFLIP_COUNT,
+               abft.ENV_BITFLIP_SEED, abft.ENV_BITFLIP_SUBDOMAIN,
+               ENV_TRANSPORT_CHECKSUM, ENV_CRASH_SUBDOMAIN,
+               ENV_STRAGGLE_SUBDOMAIN, ENV_STRAGGLE_S)
+_BITFLIP_ENV = {abft.ENV_BITFLIP_SEED: "7", abft.ENV_BITFLIP_SUBDOMAIN: "1"}
+
+
+@contextmanager
+def _chaos_env(env: dict):
+    """Arm exactly the chaos seams in ``env`` (and re-arm the one-shot
+    bit-flip state); the caller's environment comes back afterwards."""
+    saved = {name: os.environ.get(name) for name in _LADDER_ENV}
+    for name in _LADDER_ENV:
+        os.environ.pop(name, None)
+    os.environ.update(env)
+    abft.reset_bitflip_state()
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        abft.reset_bitflip_state()
+
+
+class _Ladder:
+    """One problem, many faulted runs, four rows per observation."""
+
+    def __init__(self, group: str):
+        gm = generate(LADDER_MATRIX, "tiny")
+        self.A, self.M = gm.A.tocsr(), gm.M
+        n = self.A.shape[0]
+        self.b = np.random.default_rng(0).standard_normal(n)
+        self.B = np.random.default_rng(1).standard_normal((n, 4))
+        self.tag = f"ladder/{group}"
+        self.din = digest(self.A, self.b, self.B)
+        self.rows: list[list[str]] = []
+
+    @contextmanager
+    def solver(self, backend: str, **kw):
+        """A traced solver on a private backend (pool workers fork
+        inside the armed environment and die with the scenario).
+        ``fault_plan`` goes to the runtime, the rest to the config."""
+        name, _, workers = backend.partition(":")
+        pool = get_backend(name, workers=int(workers or 1), fresh=True)
+        runtime = RuntimeOptions(
+            tracer=Tracer(), backend=pool,
+            fault_plan=kw.pop("fault_plan", None),
+            task_deadline_s=kw.pop("task_deadline_s", None))
+        try:
+            yield PDSLin(self.A, PDSLinConfig(k=4, **kw), M=self.M,
+                         runtime=runtime)
+        finally:
+            pool.close()
+
+    def observe(self, case: str, solver: PDSLin, run) -> bool:
+        """Run ``run(solver)`` (returning the answer array) and record
+        what the solver looks like afterwards. Returns False when the
+        run raised a solver error (recorded by type)."""
+        try:
+            answer, ok = run(solver), True
+        except SolverError as exc:
+            answer, ok = f"raises {type(exc).__name__}", False
+        rep, tr = solver.recovery, solver.tracer
+        events = [(e.stage, e.action, e.subdomain, e.attempt, e.detail)
+                  for e in rep.events]
+        counters = sorted(
+            (k, v) for k, v in tr.counters.items()
+            if not k.startswith(("noise:", "speculation_")))
+        spans = sorted(Counter(s.name for s in tr.spans).items())
+        for part, value in (
+                ("events", (events, rep.degraded, rep.preconditioner_mode)),
+                ("counters", counters), ("spans", spans), ("x", answer)):
+            self.rows.append([f"{self.tag}:{case}:{part}", self.din,
+                              digest(value)])
+        return ok
+
+    def entry(self, name: str):
+        """The three ways into the solve phase."""
+        if name == "solve":
+            return lambda s: s.solve(self.b).x
+        return lambda s: s.solve_block(self.B).X
+
+
+def ladder_bitflip_rows() -> list[list[str]]:
+    """One seeded exponent-bit flip at each injection site x ABFT mode
+    x entry point x backend. ``krylov`` x ``block_gmres`` is not here:
+    at the commit these rows were recorded from, the seam raised a
+    ``TypeError`` on the 2-D iterate block (``tests/test_multirhs.py``
+    holds that path since the fix)."""
+    lad = _Ladder("bitflip")
+    for target in ("lu", "schur", "krylov", "transport"):
+        env = {abft.ENV_BITFLIP_TARGET: target, **_BITFLIP_ENV}
+        for mode in ("detect", "detect+recover"):
+            for entry in ("solve", "block", "block_gmres"):
+                if target == "krylov" and entry == "block_gmres":
+                    continue
+                for backend in ("serial", "process:2"):
+                    if target == "transport" and entry != "solve" \
+                            and backend != "serial":
+                        backend = "process:1"
+                    with _chaos_env(env), lad.solver(
+                            backend, abft=mode,
+                            block_gmres=(entry == "block_gmres")) as s:
+                        lad.observe(f"{target}:{mode}:{entry}:{backend}",
+                                    s, lad.entry(entry))
+    return lad.rows
+
+
+@contextmanager
+def _corrupt_block_iterate(columns):
+    """Flip one bit in the given columns of the first block-GMRES
+    iterate the solver computes (what the block Krylov audit exists to
+    catch; the env seam cannot reach a 2-D iterate at the recorded
+    commit)."""
+    real = pdslin_module.gmres_block
+    pending = list(columns)
+
+    def corrupted(*args, **kwargs):
+        blk = real(*args, **kwargs)
+        while pending:
+            abft.flip_bits([blk.x[:, pending.pop(0)]],
+                           rng=np.random.default_rng(5))
+        return blk
+
+    pdslin_module.gmres_block = corrupted
+    try:
+        yield
+    finally:
+        pdslin_module.gmres_block = real
+
+
+def ladder_corrupt_rows() -> list[list[str]]:
+    """Corruption planted directly, outside the env seams: a ``T~``
+    entry flipped between Comp(S) and assembly, a factor entry flipped
+    after set-up that only the solve-phase sweep can see, and two
+    columns of a block-GMRES iterate."""
+    lad = _Ladder("corrupt")
+    for mode in ("detect", "detect+recover"):
+        for backend in ("serial", "process:2"):
+            with _chaos_env({}), lad.solver(backend, abft=mode) as s:
+                assemble = s._assemble_and_factor_schur
+
+                def corrupt_then_assemble(s=s, assemble=assemble):
+                    abft.flip_bits([s.subdomains[1].T_tilde.data],
+                                   rng=np.random.default_rng(5))
+                    assemble()
+                s._assemble_and_factor_schur = corrupt_then_assemble
+                lad.observe(f"T_tilde:{mode}:{backend}", s,
+                            lad.entry("solve"))
+            for entry in ("solve", "block"):
+                with _chaos_env({}), lad.solver(backend, abft=mode) as s:
+                    s.setup()
+                    sd = s.subdomains[1]
+                    abft.flip_bits([sd.factors.U.data],
+                                   rng=np.random.default_rng(5))
+                    # solve through the corrupted L/U data (the SuperLU
+                    # handle keeps its own pristine copy)
+                    sd.factors.handle = None
+                    sd.handle_thresh = None
+                    lad.observe(f"factor:{mode}:{entry}:{backend}", s,
+                                lad.entry(entry))
+            with _chaos_env({}), _corrupt_block_iterate((2, 0)), \
+                    lad.solver(backend, abft=mode, block_gmres=True) as s:
+                lad.observe(f"block_iterate:{mode}:{backend}", s,
+                            lad.entry("block"))
+    return lad.rows
+
+
+def ladder_fault_rows() -> list[list[str]]:
+    """Injected stage faults: every (stage, process) of the pipeline x
+    transient / retries-exhausted / permanent, on the inline ladder
+    (serial) and the pre-played one (thread:2). ``solve(b)`` then
+    ``solve_block(B)`` on the same solver, one observation each."""
+    lad = _Ladder("faults")
+    sites = (("Partition", None), ("LU(D)", 1), ("Comp(S)", 2),
+             ("Comp(S)", None), ("LU(S)", None), ("Solve", 1),
+             ("Solve", None))
+    kinds = {"transient": dict(kind="transient"),
+             "exhausted": dict(kind="transient", trips=99),
+             "permanent": dict(kind="permanent")}
+    for stage, proc in sites:
+        for kname, spec in kinds.items():
+            for backend in ("serial", "thread:2"):
+                plan = FaultPlan([FaultSpec(stage=stage, process=proc,
+                                            **spec)], seed=0)
+                where = "root" if proc is None else f"p{proc}"
+                case = f"{stage}@{where}:{kname}:{backend}"
+                with _chaos_env({}), lad.solver(backend,
+                                                fault_plan=plan) as s:
+                    if lad.observe(f"{case}:solve", s, lad.entry("solve")):
+                        lad.observe(f"{case}:block", s, lad.entry("block"))
+    return lad.rows
+
+
+def ladder_chaos_rows() -> list[list[str]]:
+    """Shipped tasks that never come back: a worker hard-exit and a
+    straggler past its deadline, in the set-up fan-out and in the
+    fan-outs of a block solve."""
+    lad = _Ladder("chaos")
+    crash = {ENV_CRASH_SUBDOMAIN: "1"}
+    straggle = {ENV_STRAGGLE_SUBDOMAIN: "1", ENV_STRAGGLE_S: "30"}
+
+    with _chaos_env(crash), lad.solver("process:1") as s:
+        lad.observe("crash:setup", s, lad.entry("solve"))
+    with _chaos_env({}), lad.solver("process:1") as s:
+        s.setup()
+        os.environ.update(crash)
+        s.backend.close()           # the next fan-out forks armed workers
+        lad.observe("crash:solve_block", s, lad.entry("block"))
+
+    with _chaos_env(straggle), lad.solver("process:2",
+                                          task_deadline_s=1.5) as s:
+        lad.observe("straggle:setup", s, lad.entry("solve"))
+    with _chaos_env({}), lad.solver("process:2", task_deadline_s=0.75,
+                                    refine_maxiter=0) as s:
+        s.setup()
+        os.environ.update(straggle)
+        s.backend.close()
+        lad.observe("straggle:solve_block", s, lad.entry("block"))
+    return lad.rows
+
+
 def groups() -> dict:
     """Group name -> zero-argument builder of that group's rows."""
     out = {"edge": edge_rows}
@@ -500,6 +764,10 @@ def groups() -> dict:
         out[f"e2e/{name}"] = partial(e2e_rows, name)
     for name in E2E_MATRICES:
         out[f"solve/{name}"] = partial(solve_rows, name)
+    out["ladder/bitflip"] = ladder_bitflip_rows
+    out["ladder/corrupt"] = ladder_corrupt_rows
+    out["ladder/faults"] = ladder_fault_rows
+    out["ladder/chaos"] = ladder_chaos_rows
     return out
 
 
