@@ -11,7 +11,15 @@ import pytest
 
 from repro.core import rhb_partition
 from repro.graphs import nested_dissection_partition
-from repro.hypergraph import Hypergraph, bisect_hypergraph
+from repro.hypergraph import (
+    Hypergraph,
+    bisect_hypergraph,
+    coarsen_hypergraph,
+    contract_hypergraph,
+    fm_refine_hypergraph,
+    heavy_connectivity_matching,
+    split_by_side,
+)
 from repro.lu import (
     SupernodalLower,
     blocked_triangular_solve,
@@ -125,6 +133,54 @@ def test_kernel_hypergraph_bisection(benchmark, cavity):
     benchmark.pedantic(
         lambda: bisect_hypergraph(H, epsilon=0.05, seed=0, n_trials=2),
         rounds=3, iterations=1)
+
+
+@pytest.fixture(scope="module")
+def coarsening(cavity):
+    """The cavity's column-net hypergraph, its coarsening, balance caps
+    and one random side vector per end of the hierarchy."""
+    H = Hypergraph.column_net_model(cavity.M)
+    levels = coarsen_hypergraph(H, seed=0)
+    caps = np.full((2, 1), 0.55 * H.n_vertices)
+    rng = np.random.default_rng(0)
+    coarsest = levels[-1].hypergraph
+    return (H, coarsest, caps, rng.integers(0, 2, H.n_vertices),
+            rng.integers(0, 2, coarsest.n_vertices))
+
+
+def test_kernel_fm_finest(benchmark, coarsening):
+    """FM from a random side on the finest level (list caches warm, as
+    in every trial but the first)."""
+    H, _, caps, side, _ = coarsening
+    benchmark.pedantic(fm_refine_hypergraph, args=(H, side),
+                       kwargs=dict(caps=caps), rounds=3, iterations=1,
+                       warmup_rounds=1)
+
+
+def test_kernel_fm_coarsest(benchmark, coarsening):
+    _, coarsest, caps, _, side = coarsening
+    benchmark.pedantic(fm_refine_hypergraph, args=(coarsest, side),
+                       kwargs=dict(caps=caps), rounds=10, iterations=1,
+                       warmup_rounds=1)
+
+
+def test_kernel_hypergraph_matching(benchmark, coarsening):
+    H = coarsening[0]
+    benchmark.pedantic(heavy_connectivity_matching, args=(H, 0), rounds=3,
+                       iterations=1, warmup_rounds=1)
+
+
+def test_kernel_hypergraph_contraction(benchmark, coarsening):
+    H = coarsening[0]
+    match = heavy_connectivity_matching(H, 0)
+    benchmark.pedantic(contract_hypergraph, args=(H, match), rounds=3,
+                       iterations=1)
+
+
+def test_kernel_split_by_side(benchmark, coarsening):
+    H, _, _, side, _ = coarsening
+    benchmark.pedantic(split_by_side, args=(H, side, "soed"), rounds=3,
+                       iterations=1)
 
 
 def test_kernel_rhb_k8(benchmark, cavity):

@@ -209,7 +209,7 @@ def rhb_partition(A: sp.spmatrix, k: int, *,
                                    first_bisection=(depth == 0),
                                    net_internal=~is_sep[H.net_ids])
         Hw = replace(H, vertex_weights=weights, _vtx_ptr=H.vtx_ptr,
-                     _vtx_nets=H.vtx_nets)
+                     _vtx_nets=H.vtx_nets, _net_of_pin=H.net_of_pin)
         k_left = k_here // 2
         with tracer.span("rhb_bisect", depth=depth,
                          n_vertices=H.n_vertices):

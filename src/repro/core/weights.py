@@ -54,8 +54,7 @@ def current_w1(H: Hypergraph,
     if net_internal.shape != (H.n_nets,):
         raise ValueError("net_internal must have one entry per net")
     w = np.zeros(H.n_vertices, dtype=np.int64)
-    net_of_pin = np.repeat(np.arange(H.n_nets), H.net_sizes())
-    keep = net_internal[net_of_pin]
+    keep = net_internal[H.net_of_pin]
     np.add.at(w, H.pins[keep], 1)
     return w
 

@@ -17,6 +17,7 @@ from repro.graphs.coarsen import coarsen
 from repro.graphs.fm import fm_refine_bisection
 from repro.graphs.graph import Graph
 from repro.utils import SeedLike, fraction, rng_from, spawn
+from repro.utils.multilevel import fill_side0
 
 __all__ = ["BisectionResult", "bisect_graph", "greedy_bfs_bisection"]
 
@@ -51,30 +52,31 @@ def greedy_bfs_bisection(g: Graph, target0: float, seed: SeedLike = None) -> np.
         return np.empty(0, dtype=np.int64)
     goal = target0 * g.total_vertex_weight
     side = np.ones(n, dtype=np.int64)
+    neighbors, _, vw = g.lists
     start = int(rng.integers(n))
     acc = 0
     queue = [start]
     head = 0
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
+    seen = bytearray(n)
+    seen[start] = 1
     while acc < goal:
         if head >= len(queue):
-            rest = np.flatnonzero(~seen)
+            rest = np.flatnonzero(np.frombuffer(seen, dtype=np.uint8) == 0)
             if rest.size == 0:
                 break
             nxt = int(rest[rng.integers(rest.size)])
-            seen[nxt] = True
+            seen[nxt] = 1
             queue.append(nxt)
         v = queue[head]
-        head += 1
-        if acc + g.vertex_weights[v] > goal and acc > 0:
+        if acc + vw[v] > goal and acc > 0:
             break
-        side[v] = 0
-        acc += int(g.vertex_weights[v])
-        for u in g.neighbors(v):
+        head += 1
+        acc += vw[v]
+        for u in neighbors[v]:
             if not seen[u]:
-                seen[u] = True
-                queue.append(int(u))
+                seen[u] = 1
+                queue.append(u)
+    side[queue[:head]] = 0
     return side
 
 
@@ -82,17 +84,9 @@ def _random_balanced(g: Graph, target0: float,
                      seed: SeedLike = None) -> np.ndarray:
     """Random assignment filling side 0 to the target weight."""
     rng = rng_from(seed)
-    n = g.n_vertices
-    order = rng.permutation(n)
-    side = np.ones(n, dtype=np.int64)
-    goal = target0 * g.total_vertex_weight
-    acc = 0
-    for v in order:
-        if acc >= goal:
-            break
-        side[v] = 0
-        acc += int(g.vertex_weights[v])
-    return side
+    order = rng.permutation(g.n_vertices)
+    return fill_side0(order, g.vertex_weights,
+                      target0 * g.total_vertex_weight)
 
 
 def bisect_graph(g: Graph, *, epsilon: float = 0.05, target0: float = 0.5,

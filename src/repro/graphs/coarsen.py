@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.utils import SeedLike, rng_from
+from repro.utils.multilevel import fine_to_coarse_map
 
 __all__ = ["CoarseLevel", "heavy_edge_matching", "contract", "coarsen"]
 
@@ -40,40 +41,28 @@ def heavy_edge_matching(g: Graph, seed: SeedLike = None,
     """
     rng = rng_from(seed)
     n = g.n_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    for v in order:
+    match = [-1] * n
+    neighbors, edge_weights, vw = g.lists
+    for v in rng.permutation(n).tolist():
         if match[v] >= 0:
             continue
         best, best_w = v, -1
-        for p in range(g.indptr[v], g.indptr[v + 1]):
-            u = g.indices[p]
+        for u, w in zip(neighbors[v], edge_weights[v]):
             if match[u] >= 0 or u == v:
                 continue
-            if max_weight is not None and \
-                    g.vertex_weights[v] + g.vertex_weights[u] > max_weight:
+            if max_weight is not None and vw[v] + vw[u] > max_weight:
                 continue
-            w = int(g.edge_weights[p])
             if w > best_w or (w == best_w and u < best):
-                best, best_w = int(u), w
+                best, best_w = u, w
         match[v] = best
         match[best] = v
-    return match
+    return np.asarray(match, dtype=np.int64)
 
 
 def contract(g: Graph, match: np.ndarray) -> CoarseLevel:
     """Contract matched pairs into coarse vertices."""
     n = g.n_vertices
-    fine_to_coarse = np.full(n, -1, dtype=np.int64)
-    nc = 0
-    for v in range(n):
-        if fine_to_coarse[v] >= 0:
-            continue
-        u = match[v]
-        fine_to_coarse[v] = nc
-        if u != v:
-            fine_to_coarse[u] = nc
-        nc += 1
+    fine_to_coarse, nc = fine_to_coarse_map(np.asarray(match, dtype=np.int64))
     # coarse vertex weights
     cvw = np.zeros(nc, dtype=np.int64)
     np.add.at(cvw, fine_to_coarse, g.vertex_weights)

@@ -1,6 +1,6 @@
 """Fiduccia-Mattheyses refinement for graph bisections (edge cut).
 
-Single-vertex moves with a lazy max-gain heap, one-move-per-vertex
+Single-vertex moves with a lazy max-gain queue, one-move-per-vertex
 locking per pass, negative-gain hill climbing with rollback to the best
 prefix, and a hard balance ceiling per side. Used by the multilevel
 bisector at every uncoarsening level.
@@ -8,12 +8,11 @@ bisector at every uncoarsening level.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.utils import as_int_array
+from repro.utils.multilevel import GainQueue
 
 __all__ = ["fm_refine_bisection", "compute_gains"]
 
@@ -23,12 +22,16 @@ def compute_gains(g: Graph, side: np.ndarray) -> np.ndarray:
     (external edge weight) - (internal edge weight). Vectorized over the
     adjacency arrays."""
     n = g.n_vertices
+    gains = np.zeros(n, dtype=np.int64)
     if g.indices.size == 0:
-        return np.zeros(n, dtype=np.int64)
+        return gains
     src = np.repeat(np.arange(n), np.diff(g.indptr))
-    sign = np.where(side[src] != side[g.indices], 1, -1)
-    return np.bincount(src, weights=g.edge_weights * sign,
-                       minlength=n).astype(np.int64)
+    # accumulate in int64: np.bincount(weights=...) sums in float64,
+    # which silently rounds once edge weights exceed 2^53
+    np.add.at(gains, src,
+              np.where(side[src] != side[g.indices], g.edge_weights,
+                       -g.edge_weights))
+    return gains
 
 
 def fm_refine_bisection(g: Graph, side: np.ndarray, *,
@@ -58,70 +61,62 @@ def fm_refine_bisection(g: Graph, side: np.ndarray, *,
         raise ValueError("side must have one entry per vertex")
     caps = np.broadcast_to(np.asarray(max_part_weight, dtype=np.float64),
                            (2,)).copy()
-    part_weight_arr = np.zeros(2, dtype=np.int64)
-    np.add.at(part_weight_arr, side, g.vertex_weights)
+    # side / part_weight stay arrays from pass to pass; a pass works
+    # on list copies and only its kept prefix is applied back (see the
+    # hypergraph FM)
+    part_weight = np.zeros(2, dtype=np.int64)
+    np.add.at(part_weight, side, g.vertex_weights)
     cut = g.edge_cut(side)
-    # hot-loop state in plain Python containers (see hypergraph FM)
-    side_l = side.tolist()
-    part_weight = part_weight_arr.tolist()
+    neighbors, edge_weights, vw = g.lists
     caps_l = caps.tolist()
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
-    edge_weights = g.edge_weights.tolist()
-    vw = g.vertex_weights.tolist()
-    heappush, heappop = heapq.heappush, heapq.heappop
 
     for _ in range(max_passes):
-        gains = compute_gains(g, np.asarray(side_l, dtype=np.int64)).tolist()
-        locked = bytearray(n)
-        heap = [(-gains[v], v) for v in range(n)]
-        heapq.heapify(heap)
+        queue = GainQueue(compute_gains(g, side))
+        gains, locked = queue.gains, queue.locked
+        side_l = side.tolist()
+        pw = part_weight.tolist()
         best_cut, cur_cut = cut, cut
         trail: list[int] = []  # moved vertices, in order
         best_len = 0
         stall = 0
-        while heap and stall < stall_limit:
-            ng_, v = heappop(heap)
-            if locked[v] or -ng_ != gains[v]:
-                continue
+        while stall < stall_limit:
+            v = queue.pop()
+            if v < 0:
+                break
             src = side_l[v]
             dst = 1 - src
             wv = vw[v]
-            feasible = (part_weight[dst] + wv <= caps_l[dst]
-                        or part_weight[src] > caps_l[src])
-            if not feasible:
-                continue
+            if pw[dst] + wv > caps_l[dst] and pw[src] <= caps_l[src]:
+                continue  # infeasible: discarded, not re-queued
             # apply move
             locked[v] = 1
             side_l[v] = dst
-            part_weight[src] -= wv
-            part_weight[dst] += wv
+            pw[src] -= wv
+            pw[dst] += wv
             cur_cut -= gains[v]
             gains[v] = -gains[v]
             trail.append(v)
-            for p in range(indptr[v], indptr[v + 1]):
-                u = indices[p]
+            touched = []
+            for u, ew in zip(neighbors[v], edge_weights[v]):
                 if locked[u]:
                     continue
-                ew = edge_weights[p]
                 # edge (v,u): v changed sides, so the contribution of this
                 # edge to gain(u) flips by 2*ew in the appropriate direction
                 gains[u] += 2 * ew if side_l[u] == src else -2 * ew
-                heappush(heap, (-gains[u], u))
+                touched.append(u)
+            queue.push(touched)
             if cur_cut < best_cut:
                 best_cut = cur_cut
                 best_len = len(trail)
                 stall = 0
             else:
                 stall += 1
-        # roll back moves after the best prefix
-        for v in trail[best_len:]:
-            dst = side_l[v]
-            src = 1 - dst
-            side_l[v] = src
-            part_weight[dst] -= vw[v]
-            part_weight[src] += vw[v]
         if best_cut >= cut:
             break
         cut = best_cut
-    return np.asarray(side_l, dtype=np.int64), cut
+        kept = np.asarray(trail[:best_len], dtype=np.int64)
+        moved_from = side[kept]
+        np.subtract.at(part_weight, moved_from, g.vertex_weights[kept])
+        np.add.at(part_weight, 1 - moved_from, g.vertex_weights[kept])
+        side[kept] = 1 - moved_from
+    return side, cut

@@ -8,15 +8,26 @@ CSR adjacency without self-loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.sparse.symmetrize import symmetrized
 from repro.utils import as_int_array, check_csr, check_square
+from repro.utils.multilevel import concat_ranges, csr_lists
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "GraphLists"]
+
+
+class GraphLists(NamedTuple):
+    """A graph as plain Python lists, for the sequential kernels (FM
+    moves, matching) that touch one edge at a time."""
+
+    neighbors: list[list[int]]
+    edge_weights: list[list[int]]
+    vertex_weights: list[int]
 
 
 @dataclass
@@ -37,6 +48,8 @@ class Graph:
     indices: np.ndarray
     edge_weights: np.ndarray
     vertex_weights: np.ndarray
+    _lists: GraphLists | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self) -> None:
         self.indptr = as_int_array(self.indptr, "indptr")
@@ -63,6 +76,23 @@ class Graph:
     @property
     def total_vertex_weight(self) -> int:
         return int(self.vertex_weights.sum())
+
+    @property
+    def lists(self) -> GraphLists:
+        """Python-list form, built on first use and shared by every FM
+        call and matching on this graph; dropped on pickling."""
+        if self._lists is None:
+            self._lists = GraphLists(
+                neighbors=csr_lists(self.indptr, self.indices),
+                edge_weights=csr_lists(self.indptr, self.edge_weights),
+                vertex_weights=self.vertex_weights.tolist())
+        return self._lists
+
+    def __getstate__(self) -> dict:
+        # without the lists; the class default (None) stands in after load
+        state = self.__dict__.copy()
+        state.pop("_lists", None)
+        return state
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
@@ -110,18 +140,15 @@ class Graph:
         n = self.n_vertices
         local = np.full(n, -1, dtype=np.int64)
         local[vertices] = np.arange(vertices.size)
-        sub_indptr = [0]
-        sub_indices: list[int] = []
-        sub_ew: list[int] = []
-        for v in vertices:
-            for p in range(self.indptr[v], self.indptr[v + 1]):
-                w = local[self.indices[p]]
-                if w >= 0:
-                    sub_indices.append(int(w))
-                    sub_ew.append(int(self.edge_weights[p]))
-            sub_indptr.append(len(sub_indices))
-        g = Graph(np.asarray(sub_indptr), np.asarray(sub_indices, dtype=np.int64),
-                  np.asarray(sub_ew, dtype=np.int64),
+        degrees = np.diff(self.indptr)[vertices]
+        edges = concat_ranges(self.indptr[vertices], degrees)
+        targets = local[self.indices[edges]]
+        keep = targets >= 0
+        owner = np.repeat(np.arange(vertices.size), degrees)
+        sub_indptr = np.zeros(vertices.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[keep], minlength=vertices.size),
+                  out=sub_indptr[1:])
+        g = Graph(sub_indptr, targets[keep], self.edge_weights[edges][keep],
                   self.vertex_weights[vertices].copy())
         return g, vertices.copy()
 

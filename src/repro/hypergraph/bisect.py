@@ -28,6 +28,7 @@ from repro.hypergraph.refine import (
 )
 from repro.resilience.errors import WorkerCrashError
 from repro.utils import SeedLike, fraction, rng_from, spawn
+from repro.utils.multilevel import fill_side0
 
 __all__ = ["HBisectionResult", "bisect_hypergraph", "enforce_exact_quota"]
 
@@ -48,51 +49,43 @@ def _grow_bfs(H: Hypergraph, target0: float, seed: SeedLike) -> np.ndarray:
     side = np.ones(n, dtype=np.int64)
     if n == 0:
         return side
+    vertex_nets, net_pins, _, vw = H.lists
     # balance on the first constraint (the primary one)
-    w = H.vertex_weights[:, 0]
-    goal = target0 * max(1, int(w.sum()))
+    goal = target0 * max(1, int(H.vertex_weights[:, 0].sum()))
     start = int(rng.integers(n))
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
+    seen = bytearray(n)
+    seen[start] = 1
     queue = [start]
     head = 0
     acc = 0
     while acc < goal:
         if head >= len(queue):
-            rest = np.flatnonzero(~seen)
+            rest = np.flatnonzero(np.frombuffer(seen, dtype=np.uint8) == 0)
             if rest.size == 0:
                 break
             nxt = int(rest[rng.integers(rest.size)])
-            seen[nxt] = True
+            seen[nxt] = 1
             queue.append(nxt)
         v = queue[head]
         head += 1
-        side[v] = 0
-        acc += int(w[v])
-        for j in H.vertex_net_list(v):
-            if H.net_size(j) > 500:
+        acc += vw[v][0]
+        for j in vertex_nets[v]:
+            pins = net_pins[j]
+            if len(pins) > 500:
                 continue
-            for u in H.net_pins(j):
+            for u in pins:
                 if not seen[u]:
-                    seen[u] = True
-                    queue.append(int(u))
+                    seen[u] = 1
+                    queue.append(u)
+    side[queue[:head]] = 0
     return side
 
 
 def _random_balanced(H: Hypergraph, target0: float, seed: SeedLike) -> np.ndarray:
     rng = rng_from(seed)
-    n = H.n_vertices
-    order = rng.permutation(n)
-    side = np.ones(n, dtype=np.int64)
+    order = rng.permutation(H.n_vertices)
     w = H.vertex_weights[:, 0]
-    goal = target0 * max(1, int(w.sum()))
-    acc = 0
-    for v in order:
-        if acc >= goal:
-            break
-        side[v] = 0
-        acc += int(w[v])
-    return side
+    return fill_side0(order, w, target0 * max(1, int(w.sum())))
 
 
 def enforce_exact_quota(H: Hypergraph, side: np.ndarray, quota0: int) -> np.ndarray:
@@ -108,24 +101,19 @@ def enforce_exact_quota(H: Hypergraph, side: np.ndarray, quota0: int) -> np.ndar
         return side
     src = 0 if count0 > quota0 else 1
     deficit = abs(count0 - quota0)
-    sigma = _side_counts(H, side)
-    gains = hypergraph_gains(H, side, sigma)
+    gains = hypergraph_gains(H, side, _side_counts(H, side))
     candidates = np.flatnonzero(side == src)
     order = candidates[np.argsort(-gains[candidates], kind="stable")]
-    for v in order[:deficit]:
-        s, t = src, 1 - src
-        for j in H.vertex_net_list(v):
-            sigma[s, j] -= 1
-            sigma[t, j] += 1
-        side[v] = t
+    side[order[:deficit]] = 1 - src
     return side
 
 
 @dataclass
 class _TrialTask:
-    """One shippable bisection trial: the multilevel state plus a
-    pre-drawn child generator, so a trial is a pure function of its
-    payload and runs identically on any execution backend."""
+    """The bisection trials one worker runs: the multilevel state plus
+    one pre-drawn child generator per trial, so the trials are a pure
+    function of the payload and run identically on any execution
+    backend."""
 
     H: Hypergraph
     levels: List
@@ -133,14 +121,18 @@ class _TrialTask:
     target0: float
     fm_passes: int
     quota0: Optional[int]
-    rng: np.random.Generator
+    rngs: List[np.random.Generator]
 
 
-def _run_trial(task: _TrialTask) -> HBisectionResult:
+def _run_trials(task: _TrialTask) -> List[HBisectionResult]:
+    return [_run_trial(task, child) for child in task.rngs]
+
+
+def _run_trial(task: _TrialTask,
+               child: np.random.Generator) -> HBisectionResult:
     """One initial-bisection + uncoarsening-refinement trial."""
     H, levels, caps = task.H, task.levels, task.caps
     coarsest = levels[-1].hypergraph if levels else H
-    child = task.rng
     if child.random() < 0.5 or coarsest.n_vertices < 4:
         side = _grow_bfs(coarsest, task.target0, child)
     else:
@@ -194,22 +186,34 @@ def bisect_hypergraph(H: Hypergraph, *, epsilon: float = 0.05,
     levels = coarsen_hypergraph(H, min_vertices=coarsen_min, seed=rng,
                                 max_weight=max_cw)
 
+    children = spawn(rng, max(1, n_trials))
+    # one task per worker, not per trial: every task pickles the whole
+    # multilevel state, and its worker builds the list forms once
+    per_task = 1
+    if backend is not None and not backend.inline:
+        per_task = -(-len(children) // backend.workers)
     tasks = [_TrialTask(H=H, levels=levels, caps=caps, target0=target0,
-                        fm_passes=fm_passes, quota0=quota0, rng=child)
-             for child in spawn(rng, max(1, n_trials))]
-    if backend is not None and not backend.inline and len(tasks) > 1:
-        results = []
-        for task, out in zip(tasks, backend.map(_run_trial, tasks)):
+                        fm_passes=fm_passes, quota0=quota0,
+                        rngs=children[i:i + per_task])
+             for i in range(0, len(children), per_task)]
+    results: List[HBisectionResult] = []
+    if backend is not None and not backend.inline and len(children) > 1:
+        for task, out in zip(tasks, backend.map(_run_trials, tasks)):
             if isinstance(out.error, WorkerCrashError):
-                # the shipped generator was a pickled copy, so the
-                # parent's is still pristine: rerun inline, bit-identical
-                results.append(_run_trial(task))
+                # the shipped generators were pickled copies, so the
+                # parent's are still pristine: rerun inline, bit-identical
+                results.extend(_run_trials(task))
             elif out.error is not None:
                 raise out.error
             else:
-                results.append(out.value)
+                results.extend(out.value)
     else:
-        results = [_run_trial(t) for t in tasks]
+        for task in tasks:
+            results.extend(_run_trials(task))
+
+    # the list forms die with the level they belong to: the coarse
+    # levels go out of scope here, the caller's H outlives the call
+    H.drop_lists()
 
     best: HBisectionResult | None = None
     for cand in results:

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.utils import SeedLike, rng_from
+from repro.utils.multilevel import concat_ranges, fine_to_coarse_map
 
 __all__ = ["HCoarseLevel", "heavy_connectivity_matching", "contract_hypergraph",
            "coarsen_hypergraph"]
@@ -48,13 +49,7 @@ def heavy_connectivity_matching(H: Hypergraph, seed: SeedLike = None, *,
     # numpy indexing by a wide margin here
     match = [-1] * n
     score = [0.0] * n
-    vtx_ptr = H.vtx_ptr.tolist()
-    vtx_nets = H.vtx_nets.tolist()
-    net_ptr = H.net_ptr.tolist()
-    pins = H.pins.tolist()
-    sizes = H.net_sizes().tolist()
-    costs = H.net_costs.tolist()
-    vw = H.vertex_weights.tolist()
+    vertex_nets, net_pins, costs, vw = H.lists
     mw = None if max_weight is None else np.asarray(max_weight).ravel().tolist()
     n_c = H.n_constraints
     order = rng.permutation(n).tolist()
@@ -62,14 +57,13 @@ def heavy_connectivity_matching(H: Hypergraph, seed: SeedLike = None, *,
         if match[v] >= 0:
             continue
         touched: list[int] = []
-        for q in range(vtx_ptr[v], vtx_ptr[v + 1]):
-            j = vtx_nets[q]
-            sz = sizes[j]
+        for j in vertex_nets[v]:
+            pins = net_pins[j]
+            sz = len(pins)
             if sz < 2 or sz > max_net_size:
                 continue
             w = costs[j] / (sz - 1.0)
-            for p in range(net_ptr[j], net_ptr[j + 1]):
-                u = pins[p]
+            for u in pins:
                 if u == v or match[u] >= 0:
                     continue
                 if score[u] == 0.0:
@@ -96,69 +90,77 @@ def heavy_connectivity_matching(H: Hypergraph, seed: SeedLike = None, *,
     return np.asarray(match, dtype=np.int64)
 
 
+def _pin_hash(pins: np.ndarray) -> np.ndarray:
+    """64-bit mix of each pin (splitmix64 finaliser), so that the
+    wrapping sum over a net's distinct pins separates pin sets."""
+    x = pins.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _group_identical_nets(ptr: np.ndarray, pins: np.ndarray) -> np.ndarray:
+    """For nets given as CSR segments of sorted distinct pins: the index
+    of the first net with the same pin set, per net."""
+    n_nets = ptr.size - 1
+    sizes = np.diff(ptr)
+    # nets are non-empty here, so reduceat sees no empty segment
+    key = np.add.reduceat(_pin_hash(pins), ptr[:-1]) + sizes.astype(np.uint64)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    first_same = first[inverse]
+    dup = np.flatnonzero(first_same != np.arange(n_nets))
+    # the hash only proposes groups; equality is checked pin by pin
+    rep = first_same[dup]
+    exact = np.array_equal(sizes[dup], sizes[rep]) and np.array_equal(
+        pins[concat_ranges(ptr[dup], sizes[dup])],
+        pins[concat_ranges(ptr[rep], sizes[dup])])
+    return first_same if exact else _group_identical_nets_exact(ptr, pins)
+
+
+def _group_identical_nets_exact(ptr: np.ndarray,
+                                pins: np.ndarray) -> np.ndarray:
+    """:func:`_group_identical_nets` by dictionary of pin bytes — the
+    path taken when two different pin sets collide in the 64-bit key."""
+    seen: dict[bytes, int] = {}
+    bounds = ptr.tolist()
+    return np.asarray(
+        [seen.setdefault(pins[lo:hi].tobytes(), j)
+         for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))],
+        dtype=np.int64)
+
+
 def contract_hypergraph(H: Hypergraph, match: np.ndarray) -> HCoarseLevel:
     """Contract matched pairs; dedupe pins, drop trivial nets, merge
     identical nets."""
-    n = H.n_vertices
-    fine_to_coarse = np.full(n, -1, dtype=np.int64)
-    nc = 0
-    for v in range(n):
-        if fine_to_coarse[v] >= 0:
-            continue
-        fine_to_coarse[v] = nc
-        u = match[v]
-        if u != v and u >= 0:
-            fine_to_coarse[u] = nc
-        nc += 1
+    fine_to_coarse, nc = fine_to_coarse_map(np.asarray(match, dtype=np.int64))
     cvw = np.zeros((nc, H.n_constraints), dtype=np.int64)
-    np.add.at(cvw, np.asarray(fine_to_coarse), H.vertex_weights)
+    np.add.at(cvw, fine_to_coarse, H.vertex_weights)
 
-    # vectorized pin mapping + per-net dedup via a single lexsort
-    f2c = np.asarray(fine_to_coarse)
-    nop = H.net_of_pin
-    mapped = f2c[H.pins]
-    order = np.lexsort((mapped, nop))
-    nn, mm = nop[order], mapped[order]
-    keep_pin = np.ones(mm.size, dtype=bool)
-    if mm.size:
-        keep_pin[1:] = (nn[1:] != nn[:-1]) | (mm[1:] != mm[:-1])
-    nn_u, mm_u = nn[keep_pin], mm[keep_pin]
-    per_net = np.bincount(nn_u, minlength=H.n_nets)
-    ptr_all = np.zeros(H.n_nets + 1, dtype=np.int64)
-    np.cumsum(per_net, out=ptr_all[1:])
+    # map pins and drop repeats inside a net: one sort of (net, pin) keys
+    stride = max(nc, 1)
+    net, pins = np.divmod(
+        np.unique(H.net_of_pin * stride + fine_to_coarse[H.pins]), stride)
+    sizes = np.bincount(net, minlength=H.n_nets)
+    # single-pin nets can never be cut
+    live = np.flatnonzero(sizes > 1)
+    pins = pins[np.repeat(sizes > 1, sizes)]
+    sizes = sizes[live]
+    ptr = np.zeros(live.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
 
-    seen: dict[bytes, int] = {}
-    new_ptr = [0]
-    new_pins: list[np.ndarray] = []
-    new_costs: list[int] = []
-    new_ids: list[int] = []
-    total = 0
-    costs = H.net_costs
-    ids = H.net_ids
-    for j in range(H.n_nets):
-        lo, hi = ptr_all[j], ptr_all[j + 1]
-        if hi - lo <= 1:
-            continue
-        block = mm_u[lo:hi]
-        key = block.tobytes()
-        idx = seen.get(key)
-        if idx is not None:
-            new_costs[idx] += int(costs[j])
-            continue
-        seen[key] = len(new_costs)
-        new_pins.append(block)
-        total += block.size
-        new_ptr.append(total)
-        new_costs.append(int(costs[j]))
-        new_ids.append(int(ids[j]))
-    pins_arr = (np.concatenate(new_pins) if new_pins
-                else np.empty(0, dtype=np.int64))
+    # identical nets merge into the first of them, costs summed
+    first_same = _group_identical_nets(ptr, pins)
+    is_first = first_same == np.arange(live.size)
+    new_costs = np.zeros(live.size, dtype=np.int64)
+    np.add.at(new_costs, first_same, H.net_costs[live])
+    new_ptr = np.zeros(int(is_first.sum()) + 1, dtype=np.int64)
+    np.cumsum(sizes[is_first], out=new_ptr[1:])
     coarse = Hypergraph(
-        net_ptr=np.asarray(new_ptr, dtype=np.int64),
-        pins=pins_arr.astype(np.int64, copy=False),
+        net_ptr=new_ptr,
+        pins=pins[np.repeat(is_first, sizes)],
         vertex_weights=cvw,
-        net_costs=np.asarray(new_costs, dtype=np.int64),
-        net_ids=np.asarray(new_ids, dtype=np.int64),
+        net_costs=new_costs[is_first],
+        net_ids=H.net_ids[live[is_first]],
     )
     return HCoarseLevel(hypergraph=coarse, fine_to_coarse=fine_to_coarse)
 

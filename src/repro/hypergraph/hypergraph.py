@@ -13,13 +13,25 @@ with vertex ``r_i`` a pin of net ``c_j`` iff ``M[i, j] != 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.utils import as_int_array, check_csr
+from repro.utils.multilevel import csr_lists
 
-__all__ = ["Hypergraph"]
+__all__ = ["Hypergraph", "HypergraphLists"]
+
+
+class HypergraphLists(NamedTuple):
+    """A hypergraph as plain Python lists, for the sequential kernels
+    (FM moves, matching, BFS growth) that touch one pin at a time."""
+
+    vertex_nets: list[list[int]]
+    net_pins: list[list[int]]
+    net_costs: list[int]
+    vertex_weights: list[list[int]]
 
 
 @dataclass
@@ -49,6 +61,10 @@ class Hypergraph:
     _vtx_ptr: np.ndarray | None = field(default=None, repr=False)
     _vtx_nets: np.ndarray | None = field(default=None, repr=False)
     _net_of_pin: np.ndarray | None = field(default=None, repr=False)
+    # not an __init__ field, so dataclasses.replace() never carries the
+    # lists of one weight / cost assignment over to another
+    _lists: HypergraphLists | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.net_ptr = as_int_array(self.net_ptr, "net_ptr")
@@ -169,6 +185,32 @@ class Hypergraph:
             self._net_of_pin = np.repeat(np.arange(self.n_nets),
                                          self.net_sizes())
         return self._net_of_pin
+
+    # -- list form for the sequential kernels (lazy) -------------------------
+
+    @property
+    def lists(self) -> HypergraphLists:
+        """Python-list form, built on first use and shared by every FM
+        call, matching and BFS growth on this hypergraph (all trials,
+        all passes). Several times the size of the arrays, so it is
+        dropped on pickling and by :meth:`drop_lists`."""
+        if self._lists is None:
+            self._lists = HypergraphLists(
+                vertex_nets=csr_lists(self.vtx_ptr, self.vtx_nets),
+                net_pins=csr_lists(self.net_ptr, self.pins),
+                net_costs=self.net_costs.tolist(),
+                vertex_weights=self.vertex_weights.tolist())
+        return self._lists
+
+    def drop_lists(self) -> None:
+        """Free the list form (rebuilt on the next use)."""
+        self._lists = None
+
+    def __getstate__(self) -> dict:
+        # without the lists; the class default (None) stands in after load
+        state = self.__dict__.copy()
+        state.pop("_lists", None)
+        return state
 
     def vertex_net_list(self, v: int) -> np.ndarray:
         return self.vtx_nets[self.vtx_ptr[v]:self.vtx_ptr[v + 1]]

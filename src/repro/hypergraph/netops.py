@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import CutMetric
-from repro.utils import as_int_array
+from repro.hypergraph.refine import _side_counts, as_side
 
 __all__ = ["BisectionSplit", "split_by_side", "initial_net_costs"]
 
@@ -60,60 +60,36 @@ def split_by_side(H: Hypergraph, side: np.ndarray,
     tracking exact). Cut nets follow the metric rule described in the
     module docstring.
     """
-    side = as_int_array(side, "side")
-    n = H.n_vertices
-    if side.shape != (n,):
-        raise ValueError("side must have one entry per vertex")
-    ids0 = np.flatnonzero(side == 0)
-    ids1 = np.flatnonzero(side == 1)
-    local = np.empty(n, dtype=np.int64)
-    local[ids0] = np.arange(ids0.size)
-    local[ids1] = np.arange(ids1.size)
+    side = as_side(H, side)
+    ids = (np.flatnonzero(side == 0), np.flatnonzero(side == 1))
+    local = np.empty(H.n_vertices, dtype=np.int64)
+    local[ids[0]] = np.arange(ids[0].size)
+    local[ids[1]] = np.arange(ids[1].size)
 
-    ptr: list[list[int]] = [[0], [0]]
-    pins: list[list[int]] = [[], []]
-    costs: list[list[int]] = [[], []]
-    nids: list[list[int]] = [[], []]
-    cut_ids: list[int] = []
-    cut_cost = 0
-
-    def emit(s: int, net_pins: np.ndarray, cost: int, nid: int) -> None:
-        pins[s].extend(local[net_pins].tolist())
-        ptr[s].append(len(pins[s]))
-        costs[s].append(cost)
-        nids[s].append(nid)
-
-    for j in range(H.n_nets):
-        p = H.net_pins(j)
-        if p.size == 0:
-            continue
-        sides_here = side[p]
-        c = int(H.net_costs[j])
-        nid = int(H.net_ids[j])
-        if sides_here.min() == sides_here.max():
-            emit(int(sides_here[0]), p, c, nid)
-            continue
-        # net is cut at this bisection
-        cut_ids.append(nid)
-        cut_cost += c
-        if metric == "cnet":
-            continue
-        child_cost = (c + 1) // 2 if metric == "soed" else c
-        emit(0, p[sides_here == 0], child_cost, nid)
-        emit(1, p[sides_here == 1], child_cost, nid)
+    count = _side_counts(H, side)
+    is_cut = (count[0] > 0) & (count[1] > 0)
+    # a cut net is charged here; its fragments descend (at the metric's
+    # child cost) unless the metric discards it
+    child_costs = H.net_costs.copy()
+    if metric == "soed":
+        child_costs[is_cut] = (child_costs[is_cut] + 1) // 2
+    descends = ~is_cut if metric == "cnet" else np.ones(H.n_nets, dtype=bool)
 
     children = []
-    for s, ids in ((0, ids0), (1, ids1)):
+    for s in (0, 1):
+        nets = np.flatnonzero(descends & (count[s] > 0))
+        ptr = np.zeros(nets.size + 1, dtype=np.int64)
+        np.cumsum(count[s][nets], out=ptr[1:])
         children.append(Hypergraph(
-            net_ptr=np.asarray(ptr[s], dtype=np.int64),
-            pins=np.asarray(pins[s], dtype=np.int64),
-            vertex_weights=H.vertex_weights[ids].copy(),
-            net_costs=np.asarray(costs[s], dtype=np.int64),
-            net_ids=np.asarray(nids[s], dtype=np.int64),
+            net_ptr=ptr,
+            pins=local[H.pins[(side[H.pins] == s) & descends[H.net_of_pin]]],
+            vertex_weights=H.vertex_weights[ids[s]].copy(),
+            net_costs=child_costs[nets],
+            net_ids=H.net_ids[nets],
         ))
     return BisectionSplit(
         children=(children[0], children[1]),
-        vertex_ids=(ids0, ids1),
-        cut_net_ids=np.asarray(cut_ids, dtype=np.int64),
-        cut_cost=cut_cost,
+        vertex_ids=ids,
+        cut_net_ids=H.net_ids[is_cut],
+        cut_cost=int(H.net_costs[is_cut].sum()),
     )

@@ -6,19 +6,28 @@ critical-net gain-update rules, generalized to:
 - weighted nets (net costs, as required by the soed construction);
 - multi-constraint vertex weights with per-side caps (the RHB
   multi-constraint bisection of Section III-C);
-- lazy max-gain heap with rollback to the best prefix of each pass.
+- a lazy max-gain queue (:class:`repro.utils.multilevel.GainQueue`) with
+  rollback to the best prefix of each pass.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.utils import as_int_array
+from repro.utils.multilevel import GainQueue
 
 __all__ = ["fm_refine_hypergraph", "bisection_cut", "hypergraph_gains"]
+
+
+def as_side(H: Hypergraph, side: np.ndarray) -> np.ndarray:
+    """``side`` as an int64 array, checked to hold one 0/1 entry per
+    vertex of ``H`` (the side counts below index with it)."""
+    side = as_int_array(side, "side")
+    if side.shape != (H.n_vertices,) or np.any((side != 0) & (side != 1)):
+        raise ValueError("side must be a 0/1 array with one entry per vertex")
+    return side
 
 
 def bisection_cut(H: Hypergraph, side: np.ndarray) -> int:
@@ -28,8 +37,7 @@ def bisection_cut(H: Hypergraph, side: np.ndarray) -> int:
     exactly when it has pins on side 0 *and* side 1 (empty nets have
     neither, so they contribute nothing).
     """
-    side = as_int_array(side, "side")
-    sigma = _side_counts(H, side)
+    sigma = _side_counts(H, as_side(H, side))
     return int(H.net_costs[(sigma[0] > 0) & (sigma[1] > 0)].sum())
 
 
@@ -60,9 +68,8 @@ def hypergraph_gains(H: Hypergraph, side: np.ndarray,
 
 
 def _side_counts(H: Hypergraph, side: np.ndarray) -> np.ndarray:
-    sigma = np.zeros((2, H.n_nets), dtype=np.int64)
-    np.add.at(sigma, (side[H.pins], H.net_of_pin), 1)
-    return sigma
+    on_1 = np.bincount(H.net_of_pin[side[H.pins] == 1], minlength=H.n_nets)
+    return np.stack([H.net_sizes() - on_1, on_1])
 
 
 def fm_refine_hypergraph(H: Hypergraph, side: np.ndarray, *,
@@ -76,57 +83,41 @@ def fm_refine_hypergraph(H: Hypergraph, side: np.ndarray, *,
     caps:
         ``(2, C)`` array of per-side per-constraint weight ceilings.
     """
-    side = as_int_array(side, "side").copy()
-    n = H.n_vertices
+    side = as_side(H, side).copy()
     caps = np.atleast_2d(np.asarray(caps, dtype=np.float64))
     if caps.shape != (2, H.n_constraints):
         raise ValueError(f"caps must have shape (2, {H.n_constraints})")
-    W_arr = np.zeros((2, H.n_constraints), dtype=np.int64)
-    np.add.at(W_arr, side, H.vertex_weights)
+    # side / sigma / W stay arrays from pass to pass. A pass works on
+    # list copies (per-element numpy indexing would dominate the move
+    # loop; C is 1 or 2, so reductions per candidate cost more than
+    # they save) and only its kept prefix is applied back to the arrays
+    # — the rolled-back tail, usually most of the pass, is never undone.
+    W = np.zeros((2, H.n_constraints), dtype=np.int64)
+    np.add.at(W, side, H.vertex_weights)
     sigma = _side_counts(H, side)
     cut = int(H.net_costs[(sigma[0] > 0) & (sigma[1] > 0)].sum())
-    vtx_ptr, vtx_nets = H.vtx_ptr, H.vtx_nets
-    net_ptr, pins = H.net_ptr, H.pins
-    costs = H.net_costs
-    # hot-loop state in plain Python containers: C is 1 or 2, so numpy
-    # reductions per candidate move cost far more than they save
+    vertex_nets, net_pins, costs_l, vw_l = H.lists
     n_c = H.n_constraints
-    W: list[list[int]] = W_arr.tolist()
     caps_l: list[list[float]] = caps.tolist()
-    vw_l: list[list[int]] = H.vertex_weights.tolist()
-
-    # everything the move loop touches lives in plain Python containers;
-    # per-element numpy indexing would dominate the runtime otherwise
-    side_l: list[int] = side.tolist()
-    sig = [sigma[0].tolist(), sigma[1].tolist()]
-    vtx_ptr_l = vtx_ptr.tolist()
-    vtx_nets_l = vtx_nets.tolist()
-    net_ptr_l = net_ptr.tolist()
-    pins_l = pins.tolist()
-    costs_l = costs.tolist()
-    heappush, heappop = heapq.heappush, heapq.heappop
 
     for _ in range(max_passes):
-        sigma[0] = np.asarray(sig[0], dtype=np.int64)
-        sigma[1] = np.asarray(sig[1], dtype=np.int64)
-        gains: list[int] = hypergraph_gains(
-            H, np.asarray(side_l, dtype=np.int64), sigma).tolist()
-        locked = bytearray(n)
-        heap = [(-gains[v], v) for v in range(n)]
-        heapq.heapify(heap)
+        queue = GainQueue(hypergraph_gains(H, side, sigma))
+        gains, locked = queue.gains, queue.locked
+        side_l: list[int] = side.tolist()
+        sig0, sig1 = sigma.tolist()
+        W_l: list[list[int]] = W.tolist()
         best_cut = cur_cut = cut
         trail: list[int] = []
         best_len = 0
         stall = 0
-        sig0, sig1 = sig
-        while heap and stall < stall_limit:
-            ng_, v = heappop(heap)
-            if locked[v] or -ng_ != gains[v]:
-                continue
+        while stall < stall_limit:
+            v = queue.pop()
+            if v < 0:
+                break
             s = side_l[v]
             t = 1 - s
             wv = vw_l[v]
-            Wt, Ws, ct, cs = W[t], W[s], caps_l[t], caps_l[s]
+            Wt, Ws, ct, cs = W_l[t], W_l[s], caps_l[t], caps_l[s]
             feasible = True
             for c_i in range(n_c):
                 if Wt[c_i] + wv[c_i] > ct[c_i]:
@@ -138,46 +129,46 @@ def fm_refine_hypergraph(H: Hypergraph, side: np.ndarray, *,
                         feasible = True
                         break
             if not feasible:
-                continue
+                continue  # discarded, not re-queued
             locked[v] = 1
             sig_s = sig0 if s == 0 else sig1
             sig_t = sig1 if s == 0 else sig0
+            touched: list[int] = []
             # canonical FM critical-net updates around the move of v
-            for q in range(vtx_ptr_l[v], vtx_ptr_l[v + 1]):
-                j = vtx_nets_l[q]
+            for j in vertex_nets[v]:
                 c = costs_l[j]
                 # before the move
                 if sig_t[j] == 0:
                     cur_cut += c  # net becomes cut
-                    for p in range(net_ptr_l[j], net_ptr_l[j + 1]):
-                        u = pins_l[p]
+                    for u in net_pins[j]:
                         if u != v and not locked[u]:
                             gains[u] += c
-                            heappush(heap, (-gains[u], u))
+                            touched.append(u)
                 elif sig_t[j] == 1:
-                    for p in range(net_ptr_l[j], net_ptr_l[j + 1]):
-                        u = pins_l[p]
+                    for u in net_pins[j]:
                         if side_l[u] == t and not locked[u]:
                             gains[u] -= c
-                            heappush(heap, (-gains[u], u))
+                            touched.append(u)
                             break
                 sig_s[j] -= 1
                 sig_t[j] += 1
                 # after the move
                 if sig_s[j] == 0:
                     cur_cut -= c  # net now entirely on t (uncut)
-                    for p in range(net_ptr_l[j], net_ptr_l[j + 1]):
-                        u = pins_l[p]
+                    for u in net_pins[j]:
                         if u != v and not locked[u]:
                             gains[u] -= c
-                            heappush(heap, (-gains[u], u))
+                            touched.append(u)
                 elif sig_s[j] == 1:
-                    for p in range(net_ptr_l[j], net_ptr_l[j + 1]):
-                        u = pins_l[p]
+                    for u in net_pins[j]:
                         if side_l[u] == s and not locked[u]:
                             gains[u] += c
-                            heappush(heap, (-gains[u], u))
+                            touched.append(u)
                             break
+            # once per touched vertex, at its final gain: the entries an
+            # update-by-update push would add for the intermediate gains
+            # could never be popped as current
+            queue.push(set(touched))
             side_l[v] = t
             for c_i in range(n_c):
                 Ws[c_i] -= wv[c_i]
@@ -189,22 +180,13 @@ def fm_refine_hypergraph(H: Hypergraph, side: np.ndarray, *,
                 stall = 0
             else:
                 stall += 1
-        # rollback moves after the best prefix (also restores sigma)
-        for v in trail[best_len:]:
-            t = side_l[v]
-            s = 1 - t
-            side_l[v] = s
-            wv = vw_l[v]
-            for c_i in range(n_c):
-                W[t][c_i] -= wv[c_i]
-                W[s][c_i] += wv[c_i]
-            sig_t = sig0 if t == 0 else sig1
-            sig_s = sig1 if t == 0 else sig0
-            for q in range(vtx_ptr_l[v], vtx_ptr_l[v + 1]):
-                j = vtx_nets_l[q]
-                sig_t[j] -= 1
-                sig_s[j] += 1
         if best_cut >= cut:
             break
         cut = best_cut
-    return np.asarray(side_l, dtype=np.int64), cut
+        kept = np.asarray(trail[:best_len], dtype=np.int64)
+        src = side[kept]
+        np.subtract.at(W, src, H.vertex_weights[kept])
+        np.add.at(W, 1 - src, H.vertex_weights[kept])
+        side[kept] = 1 - src
+        sigma = _side_counts(H, side)
+    return side, cut

@@ -5,7 +5,12 @@ dense blocks and scalings, hence the same S~ and x). The ``solve/``
 groups hold ``PDSLin.solve(b)`` to the answers of the commit before it
 became the one-column case of ``solve_block``; the ``ladder/`` groups
 hold what the solver records, counts, traces and answers under a fault
-to the commit before the recovery ladders moved behind one driver.
+to the commit before the recovery ladders moved behind one driver; the
+``partition/`` groups hold RHB / NGD partitions, the exact-quota column
+order and each multilevel kernel (matching, contraction, net splitting,
+FM) to the commit before the bisectors went array-native. Those are
+integer / IEEE-deterministic on seeded generators, so unlike the groups
+that pass through SuperLU they are held on every host.
 
 The cases and the digest function live in
 ``tools/record_symbolic_golden.py``; see there for how (and when not)

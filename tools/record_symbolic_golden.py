@@ -18,10 +18,12 @@ array-native rewrite), never to make a failing test pass::
     PYTHONPATH=src python tools/record_symbolic_golden.py
 
 The ``solve/`` and ``ladder/`` groups extend the same contract from
-kernels to solver behaviour (answers; recovery logs under faults) and
-were recorded later, each from the commit before the refactor it
-guards (``--groups PREFIX --commit SHA``; see ``recorded_from_groups``
-in the file).
+kernels to solver behaviour (answers; recovery logs under faults), the
+``partition/`` groups to the multilevel bisectors (RHB / NGD partition
+vectors, the exact-quota column order, and matching / contraction / net
+splitting / FM level by level). Each was recorded later, from the
+commit before the refactor it guards (``--groups PREFIX --commit SHA``;
+see ``recorded_from_groups`` in the file).
 
 Each row is ``[case id, digest of the inputs, digest of the output]``
 in pipeline order. Later inputs are built from earlier outputs (a
@@ -43,6 +45,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -55,6 +58,27 @@ import scipy
 import scipy.sparse as sp
 
 import repro.solver.pdslin as pdslin_module
+from repro.core.dbbd import build_dbbd
+from repro.core.rhb import rhb_partition
+from repro.core.rhs_reorder import hypergraph_column_order
+from repro.graphs import (
+    CoarseLevel,
+    Graph,
+    compute_gains,
+    contract,
+    fm_refine_bisection,
+    heavy_edge_matching,
+    nested_dissection_partition,
+)
+from repro.hypergraph import (
+    BisectionSplit,
+    HCoarseLevel,
+    Hypergraph,
+    contract_hypergraph,
+    fm_refine_hypergraph,
+    heavy_connectivity_matching,
+    split_by_side,
+)
 from repro.lu import (
     SupernodalLower,
     detect_supernodes,
@@ -79,12 +103,14 @@ from repro.obs.tracer import Tracer
 from repro.parallel.exec import ENV_TRANSPORT_CHECKSUM, get_backend
 from repro.resilience import FaultPlan, FaultSpec, SolverError, abft
 from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
+from repro.solver.interfaces import extract_interfaces
 from repro.solver.partasks import (
     ENV_CRASH_SUBDOMAIN,
     ENV_STRAGGLE_S,
     ENV_STRAGGLE_SUBDOMAIN,
 )
 from repro.sparse import symmetrized
+from repro.sparse.structural import edge_incidence_factor
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / \
     "tests" / "data" / "symbolic_golden.json"
@@ -117,6 +143,20 @@ def _feed(h, obj) -> None:
     elif isinstance(obj, SupernodalLower):
         _feed(h, (obj.n, obj.snodes, obj.diag_blocks, obj.below_rows,
                   obj.below_blocks, obj.unit_diagonal, obj.nnz))
+    elif isinstance(obj, Hypergraph):
+        # the five defining arrays, not the lazily built incidence caches
+        _feed(h, (obj.net_ptr, obj.pins, obj.vertex_weights, obj.net_costs,
+                  obj.net_ids))
+    elif isinstance(obj, Graph):
+        _feed(h, (obj.indptr, obj.indices, obj.edge_weights,
+                  obj.vertex_weights))
+    elif isinstance(obj, HCoarseLevel):
+        _feed(h, (obj.hypergraph, obj.fine_to_coarse))
+    elif isinstance(obj, CoarseLevel):
+        _feed(h, (obj.graph, obj.fine_to_coarse))
+    elif isinstance(obj, BisectionSplit):
+        _feed(h, (obj.children, obj.vertex_ids, obj.cut_net_ids,
+                  obj.cut_cost))
     elif isinstance(obj, (list, tuple)):
         h.update(f"seq:{len(obj)}[".encode())
         for item in obj:
@@ -753,6 +793,149 @@ def ladder_chaos_rows() -> list[list[str]]:
     return lad.rows
 
 
+# -- partitioning (``partition/`` groups) ------------------------------------
+#
+# The multilevel bisectors carry the same identical-output contract as
+# the symbolic kernels: ``(col_part, row_part, cut_costs)`` of RHB,
+# ``(part, separator)`` of NGD and the column order of the ``quota0``
+# path decide every block, fill count and iteration count downstream.
+# All of it is integer / IEEE-deterministic arithmetic on seeded
+# generators (no SuperLU, no BLAS), so these rows hold on every host.
+#
+# The full matrix x scale x metric x scheme x {M, no M} cross costs
+# ~6 min a run, so it is thinned where a cell adds wall time but no code
+# path: every metric x scheme at tiny on the matrix's own factor; a
+# Latin square of the two (each metric and each scheme once) at small
+# and on the edge-incidence factor (``M=None``: two-pin vertices, an
+# order of magnitude more of them); one ``k=2`` bisection of the
+# edge-incidence hypergraph at small, the largest input in the file.
+
+METRICS = ("con1", "cnet", "soed")
+SCHEMES = ("w1", "w2", "w1w2")
+LATIN = (("soed", "w1"), ("cnet", "w2"), ("con1", "w1w2"))
+FULL_CROSS = tuple((m, s) for m in METRICS for s in SCHEMES)
+KERNEL_SMALL = ("G3_circuit",)
+
+
+def partition_rhb_rows(name: str) -> list[list[str]]:
+    """``rhb_partition`` on one suite matrix."""
+    rows = Rows(f"partition/rhb/{name}")
+
+    def record(scale, A, M, k, metric, scheme) -> None:
+        res = rhb_partition(A, k, M=M, metric=metric, scheme=scheme, seed=0)
+        factor = "noM" if M is None else "M"
+        rows.rows.append(
+            [f"{rows.prefix}/{scale}:{factor}:k{k}:{metric}:{scheme}",
+             digest(A, M, k, metric, scheme),
+             digest(res.col_part, res.row_part, res.cut_costs)])
+
+    for scale, own, edge_k, edge in (("tiny", FULL_CROSS, 4, LATIN),
+                                     ("small", LATIN, 2, LATIN[:1])):
+        gm = generate(name, scale)
+        for metric, scheme in own:
+            record(scale, gm.A, gm.M, 8, metric, scheme)
+        if gm.M is not None:
+            for metric, scheme in edge:
+                record(scale, gm.A, None, edge_k, metric, scheme)
+    return rows.rows
+
+
+def partition_ngd_rows() -> list[list[str]]:
+    """``nested_dissection_partition`` on the suite, tiny and small."""
+    rows = Rows("partition/ngd")
+    for scale in ("tiny", "small"):
+        for name in SUITE:
+            A = generate(name, scale).A
+            res = nested_dissection_partition(A, 8, seed=0)
+            rows.rows.append([f"{rows.prefix}/{scale}/{name}:k8",
+                              digest(A), digest(res.part,
+                                                res.separator_vertices)])
+    return rows.rows
+
+
+def partition_rhs_order_rows() -> list[list[str]]:
+    """``hypergraph_column_order`` (the exact-quota bisection path) on
+    a subdomain solution pattern ``G``. The pattern is the e-tree
+    closure of ``E^`` under the no-fill lower triangle of ``D`` — the
+    shape of the real ``G`` without a SuperLU factor, so the input does
+    not depend on the host."""
+    rows = Rows("partition/rhs_order")
+    for name in SUITE:
+        gm = generate(name, "tiny")
+        A = symmetrized(gm.A)
+        res = rhb_partition(A, 4, M=gm.M, seed=0)
+        sub = extract_interfaces(build_dbbd(A, res.col_part, 4), 0)
+        L = _lower_with_diag(symmetrized(sub.D), 0)
+        G = solution_pattern(L, sub.E_hat, method="etree")
+        for block, tau in ((8, None), (20, 0.4)):
+            out = hypergraph_column_order(G, block, tau=tau, seed=0)
+            rows.rows.append([f"{rows.prefix}/{name}:B{block}:tau={tau}",
+                              digest(G, block, tau),
+                              digest(out.order, out.parts)])
+    return rows.rows
+
+
+def partition_kernel_rows(name: str) -> list[list[str]]:
+    """Matching, contraction, net splitting and FM on every level of
+    one coarsening of the matrix's column-net hypergraph (two balance
+    constraints, soed net costs), then heavy-edge matching, contraction
+    and FM on every level of its adjacency graph. Sides are random, so
+    FM starts far from a local optimum and, under the tight caps, from
+    an infeasible balance."""
+    rows = Rows(f"partition/kernels/{name}")
+    for scale in ("tiny",) + (("small",) if name in KERNEL_SMALL else ()):
+        gm = generate(name, scale)
+        A = symmetrized(gm.A)
+        M = edge_incidence_factor(A) if gm.M is None else gm.M
+        H = Hypergraph.column_net_model(M)
+        H = replace(H, net_costs=np.full(H.n_nets, 2, dtype=np.int64),
+                    vertex_weights=np.stack(
+                        [np.maximum(np.diff(H.vtx_ptr), 1),
+                         1 + np.arange(H.n_vertices) % 3], axis=1))
+        max_cw = np.maximum(1, H.total_weight() // 16)
+        for lvl in range(40):
+            tag = f"{scale}:h{lvl}"
+            side = np.random.default_rng(lvl).integers(0, 2, H.n_vertices)
+            totals = H.total_weight().astype(np.float64)
+            rows.call(f"{tag}:fm_c2", fm_refine_hypergraph, H, side,
+                      caps=np.vstack([0.55 * totals, 0.55 * totals]))
+            rows.call(f"{tag}:fm_c1_tight", fm_refine_hypergraph,
+                      replace(H, vertex_weights=H.vertex_weights[:, :1]),
+                      side, caps=np.full((2, 1), 0.505 * totals[0]),
+                      max_passes=3)
+            for metric in METRICS:
+                rows.call(f"{tag}:split_{metric}", split_by_side, H, side,
+                          metric)
+            match = rows.call(f"{tag}:matching", heavy_connectivity_matching,
+                              H, lvl, max_weight=max_cw)
+            coarse = rows.call(f"{tag}:contract", contract_hypergraph, H,
+                               match).hypergraph
+            if coarse.n_vertices <= 48 or \
+                    coarse.n_vertices >= 0.95 * H.n_vertices:
+                break
+            H = coarse
+
+        g = Graph.from_matrix(A)
+        total = g.total_vertex_weight
+        for lvl in range(40):
+            tag = f"{scale}:g{lvl}"
+            side = np.random.default_rng(100 + lvl).integers(0, 2,
+                                                             g.n_vertices)
+            rows.call(f"{tag}:compute_gains", compute_gains, g, side)
+            rows.call(f"{tag}:fm_loose", fm_refine_bisection, g, side,
+                      max_part_weight=0.55 * total)
+            rows.call(f"{tag}:fm_tight", fm_refine_bisection, g, side,
+                      max_part_weight=(0.505 * total, 0.505 * total))
+            match = rows.call(f"{tag}:matching", heavy_edge_matching, g, lvl,
+                              max_weight=max(1, total // 16))
+            coarse = rows.call(f"{tag}:contract", contract, g, match).graph
+            if coarse.n_vertices <= 48 or \
+                    coarse.n_vertices >= 0.95 * g.n_vertices:
+                break
+            g = coarse
+    return rows.rows
+
+
 def groups() -> dict:
     """Group name -> zero-argument builder of that group's rows."""
     out = {"edge": edge_rows}
@@ -768,6 +951,13 @@ def groups() -> dict:
     out["ladder/corrupt"] = ladder_corrupt_rows
     out["ladder/faults"] = ladder_fault_rows
     out["ladder/chaos"] = ladder_chaos_rows
+    for name in SUITE:
+        out[f"partition/rhb/{name}"] = partial(partition_rhb_rows, name)
+    out["partition/ngd"] = partition_ngd_rows
+    out["partition/rhs_order"] = partition_rhs_order_rows
+    for name in SUITE:
+        out[f"partition/kernels/{name}"] = partial(partition_kernel_rows,
+                                                   name)
     return out
 
 
