@@ -21,6 +21,7 @@ The result converts directly into a :class:`repro.core.dbbd.DBBDPartition`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +41,6 @@ from repro.sparse.structural import edge_incidence_factor
 from repro.sparse.symmetrize import is_structurally_symmetric, symmetrized
 from repro.utils import (
     SeedLike,
-    Timer,
     check_csr,
     fraction,
     positive_int,
@@ -213,13 +213,13 @@ def rhb_partition(A: sp.spmatrix, k: int, *,
         k_left = k_here // 2
         with tracer.span("rhb_bisect", depth=depth,
                          n_vertices=H.n_vertices):
-            timer = Timer().start()
+            t0 = perf_counter()
             res = bisect_hypergraph(Hw, epsilon=epsilon,
                                     target0=k_left / k_here, seed=rng,
                                     n_trials=n_trials, fm_passes=fm_passes,
                                     backend=backend)
             split = split_by_side(H, res.side, metric)
-            bis_seconds.append(timer.stop())
+            bis_seconds.append(perf_counter() - t0)
             tracer.count("cut_cost", split.cut_cost)
         bis_depths.append(depth)
         is_sep[split.cut_net_ids] = True

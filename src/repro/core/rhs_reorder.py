@@ -20,6 +20,7 @@ solution pattern ``G = str(L^{-1} P E)``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 from repro.hypergraph import Hypergraph, bisect_hypergraph, split_by_side
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sparse.quasidense import filter_quasi_dense_rows
-from repro.utils import SeedLike, Timer, check_csr, positive_int, rng_from
+from repro.utils import SeedLike, check_csr, positive_int, rng_from
 
 __all__ = [
     "natural_column_order",
@@ -124,7 +125,7 @@ def hypergraph_column_order(G: sp.spmatrix, block_size: int, *,
     rng = rng_from(seed)
     n_rows, n_cols = G.shape
     with tracer.span("rhs_hypergraph_order", n_cols=n_cols, block=B):
-        timer = Timer().start()
+        t0 = perf_counter()
         removed_dense = removed_empty = 0
         Guse = G
         if tau is not None:
@@ -143,7 +144,7 @@ def hypergraph_column_order(G: sp.spmatrix, block_size: int, *,
             order = np.arange(n_cols, dtype=np.int64)
             return HypergraphOrderResult(order=order,
                                          parts=[order.copy()] if n_cols else [],
-                                         partition_seconds=timer.stop(),
+                                         partition_seconds=perf_counter() - t0,
                                          n_rows_used=Guse.shape[0],
                                          n_rows_removed_dense=removed_dense,
                                          n_rows_removed_empty=removed_empty)
@@ -153,7 +154,7 @@ def hypergraph_column_order(G: sp.spmatrix, block_size: int, *,
                          n_trials, parts)
         # keep the remainder part last; full parts keep recursion order
         order = np.concatenate(parts)
-        seconds = timer.stop()
+        seconds = perf_counter() - t0
     return HypergraphOrderResult(order=order, parts=parts,
                                  partition_seconds=seconds,
                                  n_rows_used=Guse.shape[0],

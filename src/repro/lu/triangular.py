@@ -12,13 +12,14 @@ overhead, which is exactly what the reordering minimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.lu.supernodes import SupernodalLower
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.utils import OpCounter, Timer, check_csr
+from repro.utils import OpCounter, check_csr
 
 __all__ = ["PaddingStats", "BlockedSolveResult", "partition_columns",
            "blocked_triangular_solve", "padded_zeros"]
@@ -128,7 +129,7 @@ def blocked_triangular_solve(snl: SupernodalLower, E: sp.spmatrix,
     if snl.n != n:
         raise ValueError("factor and RHS dimensions differ")
     with tracer.span("blocked_trsolve", n_parts=len(parts), nrhs=m):
-        timer = Timer().start()
+        t0 = perf_counter()
         total_flops = 0
         # one sweep over G_pattern per part: the active-row mask drives
         # the numeric solve and yields the Eq. (14) padding accounting
@@ -167,7 +168,7 @@ def blocked_triangular_solve(snl: SupernodalLower, E: sp.spmatrix,
                                  total_block_entries=int(sum(per_entries)),
                                  per_part_padded=tuple(per_padded),
                                  per_part_entries=tuple(per_entries))
-        seconds = timer.stop()
+        seconds = perf_counter() - t0
         tracer.count("padded_zeros", pad_stats.total_padded)
         tracer.count("block_entries", pad_stats.total_block_entries)
         tracer.count("trsolve_flops", total_flops)

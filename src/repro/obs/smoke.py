@@ -1,7 +1,7 @@
-"""The perf-smoke scenario: one small traced end-to-end solve.
+"""The smoke scenario: one small traced end-to-end solve.
 
-This is the workload the CI perf gate runs and the baseline recorder
-samples: a tiny Table-I matrix through the full PDSLin pipeline —
+This is the workload the CI trace-shape gate runs and the baseline
+recorder samples: a tiny Table-I matrix through the full PDSLin pipeline —
 partition, subdomain LU, interface solves, Schur assembly + LU, GMRES —
 with a live :class:`repro.obs.Tracer` attached. Run directly
 (``PYTHONPATH=src python -m repro.obs.smoke --metrics m.json``) to
@@ -57,7 +57,7 @@ def run_smoke(*, name: str = SMOKE_MATRIX, scale: str = SMOKE_SCALE,
     op-count metric are reproducible; only wall times vary run to run.
     The solve checkpoints into a throwaway directory by default so the
     checkpoint-write path (shard packing, blake2b digests, the manifest)
-    is part of the gated perf surface; its shard/snapshot counters are
+    is part of the gated surface; its shard/snapshot counters are
     deterministic, its byte counter rides under the ``noise:`` prefix.
     """
     # imported here so `repro.obs` stays free of solver dependencies
@@ -102,9 +102,9 @@ def run_multirhs_smoke(*, name: str = SMOKE_MATRIX,
     """The multi-RHS smoke scenario: one setup, one batched
     ``solve_block`` over ``nrhs`` columns, under a fresh tracer.
 
-    This is what the CI ``multirhs-bench`` job gates: the per-stage
-    wall times of the batched path (``solve_block``, ``solve_fanout``,
-    ``refine_block``) plus its deterministic op counters. The block
+    This is what the CI ``trace-shape`` job gates: the stages of the
+    batched path (``solve_block``, ``refine_block``), how often each
+    ran, and its deterministic op counters. The block
     throughput counter rides under the ``noise:`` prefix
     (``noise:rhs_per_s``) so it is exported but not gated."""
     from repro.matrices import generate

@@ -413,11 +413,8 @@ class _PooledBackend(Executor):
                 for i in range(len(futures), len(payloads)))
             self._reap()
             return self._retry_transport(fn, payloads, out)
-        if deadline_s is None and speculation is None:
-            out = self._map_ordered(futures)
-        else:
-            out = self._map_mitigated(pool, invoke, fn, payloads, futures,
-                                      deadline_s, speculation)
+        out = self._map_mitigated(pool, invoke, fn, payloads, futures,
+                                  deadline_s, speculation)
         return self._retry_transport(fn, payloads, out)
 
     def _retry_transport(self, fn: Callable, payloads: Sequence[Any],
@@ -461,35 +458,17 @@ class _PooledBackend(Executor):
             return TaskOutcome(index=index, error=exc,
                                duplicates=duplicates), False
 
-    def _map_ordered(self, futures: List[Future]) -> List[TaskOutcome]:
-        """The plain path: collect in submission order, no mitigation."""
-        out: List[TaskOutcome] = []
-        broken = False
-        try:
-            for i, f in enumerate(futures):
-                outcome, died = self._settle(f, i)
-                out.append(outcome)
-                broken = broken or died
-        except BaseException:
-            # KeyboardInterrupt etc.: cancel what has not started,
-            # kill any workers, leave no orphans behind
-            for f in futures:
-                f.cancel()
-            self._reap()
-            raise
-        if broken:
-            self._reap()  # a fresh pool is built on the next map
-        return out
-
     def _map_mitigated(self, pool, invoke: Callable, fn: Callable,
                        payloads: Sequence[Any],
                        futures: List[Future], deadline_s: float | None,
                        speculation: SpeculationPolicy | None,
                        ) -> List[TaskOutcome]:
-        """Completion-order loop with a batch deadline and speculative
-        duplicates. The deadline is measured from batch submission and
-        covers the whole ``map`` (queueing included): everything not
-        finished when it expires times out together."""
+        """Completion-order loop, optionally with a batch deadline and
+        speculative duplicates (with neither it waits for every task;
+        outcomes come back in submission order either way). The deadline
+        is measured from batch submission and covers the whole ``map``
+        (queueing included): everything not finished when it expires
+        times out together."""
         t0 = time.monotonic()
         info: Dict[Future, Tuple[int, bool]] = {
             f: (i, False) for i, f in enumerate(futures)}
@@ -508,8 +487,11 @@ class _PooledBackend(Executor):
                 if speculation is not None:
                     budget = speculation.poll_s if budget is None \
                         else min(budget, speculation.poll_s)
-                done, _ = wait(pending, timeout=budget,
-                               return_when=FIRST_COMPLETED)
+                if budget is None:  # nothing to time: block on the oldest
+                    done = [min(pending, key=info.__getitem__)]
+                else:
+                    done, _ = wait(pending, timeout=budget,
+                                   return_when=FIRST_COMPLETED)
                 # deterministic tie-break: settle by (index, duplicate)
                 # so a primary finishing alongside its duplicate wins
                 for f in sorted(done, key=lambda f: info[f]):

@@ -12,13 +12,13 @@ Fig. 1/3 and reported in Table II.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from time import perf_counter
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.utils import OpCounter, StageTimer, positive_int
+from repro.utils import OpCounter, positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.resilience.faults import FaultPlan
@@ -31,11 +31,56 @@ RECOVER_STAGE = "Recover"
 
 
 @dataclass
+class StageSeconds:
+    """Seconds per stage name: the one place stage time accumulates."""
+
+    totals: Dict[str, float] = field(default_factory=dict)
+
+    def add(self, stage: str, seconds: float) -> None:
+        if seconds < 0:
+            raise ValueError("seconds must be non-negative")
+        self.totals[stage] = self.totals.get(stage, 0.0) + seconds
+
+    def get(self, stage: str) -> float:
+        return self.totals.get(stage, 0.0)
+
+
+@dataclass
 class ProcessLedger:
     """Per simulated process: stage wall times and flop counts."""
 
-    timer: StageTimer = field(default_factory=StageTimer)
+    timer: StageSeconds = field(default_factory=StageSeconds)
     ops: OpCounter = field(default_factory=OpCounter)
+
+
+@dataclass(slots=True)
+class _StageEntry:
+    """One entry of ``stage`` on one ledger (see
+    :meth:`SimulatedMachine.on_process`)."""
+
+    _plan: Optional["FaultPlan"]
+    _ledger: ProcessLedger
+    _stage: str
+    _ell: int | None
+    _t0: float = 0.0
+
+    def __enter__(self) -> ProcessLedger:
+        self._t0 = perf_counter()
+        if self._plan is not None:
+            try:
+                self._plan.before(self._stage, self._ell)
+            except BaseException as exc:
+                # __exit__ does not run when __enter__ raises: the
+                # failed entry still costs its wall time
+                self.__exit__(type(exc), exc, None)
+                raise
+        return self._ledger
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        timer = self._ledger.timer
+        timer.add(self._stage, perf_counter() - self._t0)
+        if exc_type is None and self._plan is not None:
+            timer.add(self._stage, self._plan.after(self._stage, self._ell))
 
 
 class SimulatedMachine:
@@ -58,31 +103,14 @@ class SimulatedMachine:
         self.root = ProcessLedger()
         self.fault_plan = fault_plan
 
-    @contextmanager
-    def on_process(self, ell: int, stage: str) -> Iterator[ProcessLedger]:
+    def on_process(self, ell: int, stage: str) -> _StageEntry:
         """Attribute the enclosed work to process ``ell`` under ``stage``."""
         if not (0 <= ell < self.k):
             raise IndexError(f"process {ell} out of range [0, {self.k})")
-        ledger = self.processes[ell]
-        with ledger.timer.stage(stage):
-            if self.fault_plan is not None:
-                self.fault_plan.before(stage, ell)
-            yield ledger
-        if self.fault_plan is not None:
-            delay = self.fault_plan.after(stage, ell)
-            if delay > 0.0:
-                ledger.timer.add(stage, delay)
+        return _StageEntry(self.fault_plan, self.processes[ell], stage, ell)
 
-    @contextmanager
-    def on_root(self, stage: str) -> Iterator[ProcessLedger]:
-        with self.root.timer.stage(stage):
-            if self.fault_plan is not None:
-                self.fault_plan.before(stage, None)
-            yield self.root
-        if self.fault_plan is not None:
-            delay = self.fault_plan.after(stage, None)
-            if delay > 0.0:
-                self.root.timer.add(stage, delay)
+    def on_root(self, stage: str) -> _StageEntry:
+        return _StageEntry(self.fault_plan, self.root, stage, None)
 
     def charge_recovery(self, ell: int | None = None, *,
                         seconds: float, flops: int = 0) -> None:

@@ -48,15 +48,15 @@ def machine_events(machine: SimulatedMachine) -> list[TraceEvent]:
     for stage in _ordered_stages(machine):
         stage_start = t_cursor
         longest = 0.0
-        for ell in range(machine.k):
-            dt = machine.processes[ell].timer.get(stage) * 1e6
+        for ell, seconds in enumerate(machine.process_stage_times(stage)):
+            dt = float(seconds) * 1e6
             if dt <= 0:
                 continue
             events.append(TraceEvent(
                 name=stage, ts_us=stage_start, dur_us=dt,
                 track=f"proc{ell}", args={"process": f"subdomain {ell}"}))
             longest = max(longest, dt)
-        root_dt = machine.root.timer.get(stage) * 1e6
+        root_dt = machine.serial_stage_time(stage) * 1e6
         if root_dt > 0:
             events.append(TraceEvent(
                 name=stage, ts_us=stage_start + longest, dur_us=root_dt,

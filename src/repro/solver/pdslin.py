@@ -1206,9 +1206,7 @@ class PDSLin:
         led.ops.add(stage, flops)
         plan = self.machine.fault_plan
         if plan is not None:
-            delay = plan.after(stage, ell)
-            if delay > 0.0:
-                led.timer.add(stage, delay)
+            led.timer.add(stage, plan.after(stage, ell))
 
     def _setup_subdomains_parallel(self) -> None:
         """Fan the per-subdomain setup out over ``self.backend``.
@@ -1232,11 +1230,11 @@ class PDSLin:
         t0 = time.perf_counter()
         offset = self.tracer.now()
 
-        def charged(ell: int) -> float:
-            return (self.machine.processes[ell].timer.get("LU(D)")
-                    + self.machine.processes[ell].timer.get("Comp(S)"))
+        def charged() -> np.ndarray:
+            return (self.machine.process_stage_times("LU(D)")
+                    + self.machine.process_stage_times("Comp(S)"))
 
-        base_charged = [charged(ell) for ell in range(cfg.k)]
+        base_charged = charged()
 
         restored = set(self._restored_subs)
         subs, perms = [], []
@@ -1351,8 +1349,7 @@ class PDSLin:
         # cost-model reconciliation: simulated makespan of this fan-out
         # vs the real wall clock it took (a noise: counter — excluded
         # from perf gating, visible in exported metrics)
-        model_s = max((charged(ell) - base_charged[ell]
-                       for ell in range(cfg.k)), default=0.0)
+        model_s = float((charged() - base_charged).max())
         record_model_skew(self.tracer, "subdomain_setup", model_s=model_s,
                           measured_s=time.perf_counter() - t0)
 

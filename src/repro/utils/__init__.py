@@ -1,4 +1,4 @@
-"""Shared utilities: validation, timing, deterministic RNG, flop counting."""
+"""Shared utilities: validation, deterministic RNG, flop counting."""
 
 from repro.utils.opcount import (
     OpCounter,
@@ -7,7 +7,6 @@ from repro.utils.opcount import (
     trsv_flops,
 )
 from repro.utils.prng import SeedLike, rng_from, spawn
-from repro.utils.timing import StageTimer, Timer, format_seconds
 from repro.utils.validation import (
     as_float_array,
     as_int_array,
@@ -28,7 +27,6 @@ __all__ = [
     "check_csc", "check_finite", "check_partition_vector", "check_permutation",
     "positive_int",
     "nonneg_int", "fraction",
-    "Timer", "StageTimer", "format_seconds",
     "SeedLike", "rng_from", "spawn",
     "OpCounter", "gemm_flops", "trsv_flops", "lu_flops_from_counts",
 ]

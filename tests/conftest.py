@@ -3,6 +3,10 @@ class used across the test suite."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -34,6 +38,40 @@ def random_unsymmetric(n: int, density: float = 0.05,
     A = (A + (density * n) * sp.eye(n)).tocsr()
     A.sum_duplicates()
     return A
+
+
+def retained_bytes_per_call(calls) -> float:
+    """Bytes each of the zero-argument ``calls`` leaves allocated on
+    average (results dropped, cycles collected). Every distinct call
+    runs once inside the traced window first, so state a call merely
+    *replaces* is not counted as growth."""
+    tracemalloc.start()
+    try:
+        for call in dict.fromkeys(calls):
+            call()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for call in calls:
+            call()
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / len(calls)
+    finally:
+        tracemalloc.stop()
+
+
+def reachable_objects(root) -> int:
+    """Number of objects reachable from ``root``, not following classes,
+    modules or code (which lead to the whole interpreter)."""
+    opaque = (type, types.ModuleType, types.FunctionType,
+              types.BuiltinFunctionType, types.MethodType)
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for obj in gc.get_referents(stack.pop()):
+            if id(obj) not in seen and not isinstance(obj, opaque):
+                seen.add(id(obj))
+                stack.append(obj)
+    return len(seen)
 
 
 @pytest.fixture

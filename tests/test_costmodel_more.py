@@ -64,10 +64,3 @@ class TestLedgerInteraction:
         m.processes[0].timer.add("a", 1.0)
         m.root.timer.add("b", 1.0)
         assert m.stage_names() == ["a", "b"]
-
-    def test_nested_process_stages(self):
-        m = SimulatedMachine(1)
-        with m.on_process(0, "outer"):
-            with m.processes[0].timer.stage("inner"):
-                pass
-        assert "outer/inner" in m.processes[0].timer.totals

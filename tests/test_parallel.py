@@ -76,6 +76,21 @@ class TestSimulatedMachine:
         m.processes[0].timer.add("x", 0.5)
         assert "TOTAL" in m.report()
 
+    def test_stage_entries_accumulate_into_one_total(self):
+        m = SimulatedMachine(1)
+        for _ in range(3):
+            with m.on_process(0, "s"):
+                time.sleep(0.002)
+        with pytest.raises(RuntimeError):
+            with m.on_process(0, "s"):  # a failing body is still charged
+                time.sleep(0.002)
+                raise RuntimeError("body failed")
+        ledger = m.processes[0]
+        assert ledger.timer.totals == {"s": ledger.timer.get("s")}
+        assert ledger.timer.get("s") >= 0.008
+        with pytest.raises(ValueError):
+            ledger.timer.add("s", -1.0)
+
 
 class TestStageScaling:
     def test_single_core_is_t1(self):

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from tests.conftest import reachable_objects, retained_bytes_per_call
 
 from repro.matrices import generate
 from repro.obs.tracer import Tracer
@@ -378,6 +379,24 @@ class TestObservability:
         assert tracer.span_count("service_batch") == 2
         assert tracer.counters.get("service_cache_hit") == 1
         assert tracer.counters.get("service_cache_miss") == 1
+
+    def test_cached_session_retains_nothing_per_request(self, hot):
+        # default configuration (NullTracer): hours of traffic against a
+        # cached session must not grow it past what session_nbytes sees
+        svc = SolverService(config=_cfg(), batch_window_s=0.0)
+        try:
+            key = svc.fingerprint(hot)
+            b = _rhs(hot)
+            for _ in range(20):
+                svc.solve(hot, b)
+            machine = svc.cache.peek(key).solver.machine
+            objects = reachable_objects(machine)
+            per_call = retained_bytes_per_call(
+                [lambda: svc.solve(key, b)] * 200)
+        finally:
+            svc.close()
+        assert per_call < 200
+        assert reachable_objects(machine) == objects
 
     def test_smoke_runner_serial(self):
         from repro.service.smoke import run_service_smoke

@@ -4,8 +4,13 @@ multi-RHS solves."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from tests.conftest import grid_laplacian
+from tests.conftest import (
+    grid_laplacian,
+    reachable_objects,
+    retained_bytes_per_call,
+)
 
+from repro.matrices import generate
 from repro.solver import PDSLin, PDSLinConfig
 
 
@@ -82,3 +87,26 @@ class TestSolveMultiple:
         B = rng.standard_normal((64, 2))
         results = solver.solve_multiple(B)
         assert all(r.converged for r in results)
+
+
+class TestWarmSolvesRetainNothing:
+    """A warm solve books its stage time into per-stage totals and keeps
+    no per-call record: serving traffic for hours must not grow the
+    solver (default ``NullTracer`` configuration)."""
+
+    def test_solve_and_solve_block_leave_the_machine_as_it_was(self, rng):
+        A = generate("tdr190k", "tiny").A.tocsr()
+        solver = PDSLin(A, PDSLinConfig(k=4, seed=0))
+        solver.setup()
+        b = rng.standard_normal(A.shape[0])
+        B = rng.standard_normal((A.shape[0], 8))
+        for _ in range(20):
+            solver.solve(b)
+        solver.solve_block(B)
+        objects = reachable_objects(solver.machine)
+        stages = solver.machine.stage_names()
+        calls = [lambda: solver.solve(b)] * 200 \
+            + [lambda: solver.solve_block(B)] * 10
+        assert retained_bytes_per_call(calls) < 200
+        assert reachable_objects(solver.machine) == objects
+        assert solver.machine.stage_names() == stages

@@ -1,170 +1,16 @@
-"""Unit tests for timers, op counters, and RNG plumbing."""
-
-import time
+"""Unit tests for op counters and RNG plumbing."""
 
 import numpy as np
 import pytest
 
 from repro.utils import (
     OpCounter,
-    StageTimer,
-    Timer,
-    format_seconds,
     gemm_flops,
     lu_flops_from_counts,
     rng_from,
     spawn,
     trsv_flops,
 )
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_double_start_raises(self):
-        t = Timer().start()
-        with pytest.raises(RuntimeError):
-            t.start()
-        t.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_running_flag(self):
-        t = Timer()
-        assert not t.running
-        t.start()
-        assert t.running
-        t.stop()
-        assert not t.running
-
-
-class TestStageTimer:
-    def test_records_stage(self):
-        st = StageTimer()
-        with st.stage("a"):
-            pass
-        assert st.get("a") >= 0.0
-        assert st.counts["a"] == 1
-
-    def test_nested_stages_record_both_keys(self):
-        st = StageTimer()
-        with st.stage("outer"):
-            with st.stage("inner"):
-                pass
-        assert "outer/inner" in st.totals
-        assert "inner" in st.totals
-
-    def test_add_external(self):
-        st = StageTimer()
-        st.add("x", 1.5)
-        st.add("x", 0.5)
-        assert st.get("x") == pytest.approx(2.0)
-
-    def test_add_negative_rejected(self):
-        with pytest.raises(ValueError):
-            StageTimer().add("x", -1.0)
-
-    def test_merge(self):
-        a, b = StageTimer(), StageTimer()
-        a.add("s", 1.0)
-        b.add("s", 2.0)
-        b.add("t", 3.0)
-        a.merge(b)
-        assert a.get("s") == pytest.approx(3.0)
-        assert a.get("t") == pytest.approx(3.0)
-
-    def test_report_contains_stage(self):
-        st = StageTimer()
-        st.add("mystage", 0.1)
-        assert "mystage" in st.report()
-
-    def test_sibling_stages_attributed_separately(self):
-        """Each closing stage must read *its own* span record, not a
-        sibling's — two stages under the same parent must produce two
-        distinct path keys with one count each."""
-        st = StageTimer()
-        with st.stage("outer"):
-            with st.stage("a"):
-                pass
-            with st.stage("b"):
-                pass
-        assert st.counts["outer/a"] == 1
-        assert st.counts["outer/b"] == 1
-        assert st.counts["outer"] == 1
-
-    def test_deep_nesting_paths(self):
-        st = StageTimer()
-        with st.stage("lu"):
-            with st.stage("solve"):
-                with st.stage("scatter"):
-                    pass
-        assert "lu/solve/scatter" in st.totals
-        assert "lu/solve" in st.totals
-        # flat names accumulate too, for the per-stage view
-        assert {"lu", "solve", "scatter"} <= set(st.totals)
-
-    def test_repeated_stage_accumulates(self):
-        st = StageTimer()
-        for _ in range(3):
-            with st.stage("s"):
-                pass
-        assert st.counts["s"] == 3
-        assert st.get("s") >= 0.0
-
-    def test_nested_same_name_gets_both_keys(self):
-        st = StageTimer()
-        with st.stage("s"):
-            with st.stage("s"):
-                pass
-        assert st.counts["s/s"] == 1
-        assert st.counts["s"] == 2  # once flat from inner, once as outer
-
-    def test_merge_preserves_counts_and_spans(self):
-        a, b = StageTimer(), StageTimer()
-        with a.stage("x"):
-            pass
-        with b.stage("x"):
-            pass
-        with b.stage("y"):
-            pass
-        n_spans = len(a.tracer.spans) + len(b.tracer.spans)
-        a.merge(b)
-        assert a.counts["x"] == 2
-        assert a.counts["y"] == 1
-        assert len(a.tracer.spans) == n_spans
-        # totals stay consistent with the merged span records
-        from collections import defaultdict
-        by_path = defaultdict(float)
-        for rec in a.tracer.spans:
-            by_path[rec.path] += rec.wall_s
-        for path, tot in by_path.items():
-            assert a.totals[path] == pytest.approx(tot)
-
-    def test_merge_is_additive_not_destructive(self):
-        a, b = StageTimer(), StageTimer()
-        a.add("s", 1.0)
-        b.add("s", 2.0)
-        a.merge(b)
-        a.merge(StageTimer())  # merging an empty ledger changes nothing
-        assert a.get("s") == pytest.approx(3.0)
-        assert b.get("s") == pytest.approx(2.0)  # source untouched
-
-
-class TestFormatSeconds:
-    def test_microseconds(self):
-        assert format_seconds(5e-6).endswith("us")
-
-    def test_milliseconds(self):
-        assert format_seconds(5e-3).endswith("ms")
-
-    def test_seconds(self):
-        assert format_seconds(2.0) == "2.000s"
 
 
 class TestOpCounter:

@@ -1,23 +1,23 @@
 #!/usr/bin/env python
-"""Record the perf-smoke baseline for the CI perf gate.
+"""Record the trace-shape baseline for the CI gate.
 
-Runs the :mod:`repro.obs.smoke` scenario N times, takes the per-stage
-*median* wall time (single-shot timings are noisy; counters are
-deterministic and must agree across runs), and writes the result as
-``benchmarks/baselines/smoke.json``. Commit the output; the CI
-perf-smoke job diffs every fresh run against it via
-``tools/perf_gate.py``.
+Runs the :mod:`repro.obs.smoke` scenario twice and writes what a fixed
+seed makes deterministic — the stage set, per-stage call counts and
+every non-``noise:`` counter — as ``benchmarks/baselines/smoke.json``.
+The second run must reproduce the first exactly, or nothing is
+written. No wall time is recorded: the gate (``tools/perf_gate.py``)
+does not judge it. Commit the output; the CI ``trace-shape`` job diffs
+every fresh run against it.
 
 Usage::
 
-    PYTHONPATH=src python tools/record_baseline.py --runs 5
+    PYTHONPATH=src python tools/record_baseline.py
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 from pathlib import Path
 
@@ -41,49 +41,38 @@ def _deterministic(counters: dict) -> dict:
             if not name.startswith(NOISE_COUNTER_PREFIX)}
 
 
-def record(runs: int, *, scale: str, k: int, seed: int,
-           scenario: str = "smoke",
-           nrhs: int = MULTIRHS_NRHS) -> dict:
-    """Median-of-N scenario metrics (see module docstring)."""
-    if runs <= 0:
-        raise ValueError("runs must be positive")
-    if scenario == "multirhs":
-        samples = [run_multirhs_smoke(scale=scale, k=k, seed=seed,
-                                      nrhs=nrhs).metrics
-                   for _ in range(runs)]
-    else:
-        samples = [run_smoke(scale=scale, k=k, seed=seed).metrics
-                   for _ in range(runs)]
-    base = samples[0]
-    base_counters = _deterministic(base["totals"]["counters"])
-    for other in samples[1:]:
-        if _deterministic(other["totals"]["counters"]) != base_counters:
-            raise RuntimeError(
-                f"op counters differ across identical runs; the "
-                f"{scenario} scenario is not deterministic — refusing "
-                f"to record")
-    out = {k_: v for k_, v in base.items() if k_ != "stages"}
-    out["stages"] = {}
-    for name, st in base["stages"].items():
-        walls = [s["stages"][name]["wall_s"] for s in samples]
-        out["stages"][name] = {
-            "wall_s": round(statistics.median(walls), 9),
-            "calls": st["calls"],
-            "counters": _deterministic(st["counters"]),
-        }
-    out["totals"] = {
-        "wall_s": round(statistics.median(
-            s["totals"]["wall_s"] for s in samples), 9),
-        "counters": base_counters,
+def _shape(metrics: dict) -> dict:
+    """The gated part of a metrics dict: no wall times, no noise."""
+    return {
+        "stages": {name: {"calls": st["calls"],
+                          "counters": _deterministic(st["counters"])}
+                   for name, st in metrics["stages"].items()},
+        "totals": {"counters": _deterministic(
+            metrics["totals"]["counters"])},
     }
-    out["meta"] = dict(base.get("meta", {}), baseline_runs=runs)
-    return out
+
+
+def record(*, scale: str, k: int, seed: int, scenario: str = "smoke",
+           nrhs: int = MULTIRHS_NRHS) -> dict:
+    """One scenario run's trace shape, confirmed by a second run."""
+    def run() -> dict:
+        if scenario == "multirhs":
+            return run_multirhs_smoke(scale=scale, k=k, seed=seed,
+                                      nrhs=nrhs).metrics
+        return run_smoke(scale=scale, k=k, seed=seed).metrics
+
+    base = run()
+    if _shape(run()) != _shape(base):
+        raise RuntimeError(
+            f"stage calls or counters differ across identical runs; the "
+            f"{scenario} scenario is not deterministic — refusing to "
+            f"record")
+    return {"schema_version": base["schema_version"],
+            "meta": dict(base.get("meta", {})), **_shape(base)}
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--runs", type=int, default=5,
-                    help="number of smoke runs to take the median over")
     ap.add_argument("--scenario", choices=("smoke", "multirhs"),
                     default="smoke")
     ap.add_argument("--scale", default="tiny")
@@ -94,16 +83,14 @@ def main(argv: list[str] | None = None) -> int:
                     help="output path (default: benchmarks/baselines/"
                          "<scenario>.json)")
     args = ap.parse_args(argv)
-    baseline = record(args.runs, scale=args.scale, k=args.k, seed=args.seed,
+    baseline = record(scale=args.scale, k=args.k, seed=args.seed,
                       scenario=args.scenario, nrhs=args.nrhs)
     out = Path(args.out) if args.out else DEFAULT_OUTS[args.scenario]
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as f:
         json.dump(baseline, f, indent=2, sort_keys=True)
         f.write("\n")
-    total = baseline["totals"]["wall_s"]
-    print(f"recorded {out} (median of {args.runs} runs, "
-          f"total {total:.3f}s, {len(baseline['stages'])} stages)")
+    print(f"recorded {out} ({len(baseline['stages'])} stages)")
     return 0
 
 
