@@ -13,24 +13,19 @@ are rows of the published table (targets: block-GMRES >= 3x, seeded
 its threshold one run in three, and timing is judged by
 ``benchmarks/e2e/compare.py``. What is asserted is the parity contract:
 bit-identical solutions with seeding off, equal certification with it
-on.
-
-Run directly (``PYTHONPATH=src python -m benchmarks.bench_multirhs
---metrics m.json``) to produce the multirhs ``metrics.json`` the CI
-``trace-shape`` job feeds to ``tools/perf_gate.py``.
+on. The multirhs ``metrics.json`` the CI ``trace-shape`` job gates
+comes from ``python -m repro.smoke multirhs --metrics m.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
-from pathlib import Path
 
 import numpy as np
 
 from benchmarks.conftest import publish
 from repro.matrices import generate
-from repro.obs.smoke import MULTIRHS_NRHS, SMOKE_MATRIX, run_multirhs_smoke
+from repro.smoke import MULTIRHS_NRHS, SMOKE_MATRIX
 from repro.solver import PDSLin, PDSLinConfig
 
 NRHS = MULTIRHS_NRHS
@@ -118,30 +113,3 @@ def test_multirhs_throughput(scale, results_dir):
                      + note)
     publish(results_dir, "multirhs_throughput", "\n".join(lines))
 
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: run the multirhs scenario and write the perf-gate metrics."""
-    from repro.obs.export import format_stage_summary, write_metrics
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--metrics", default="multirhs-metrics.json")
-    ap.add_argument("--scale", default="tiny")
-    ap.add_argument("--k", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--nrhs", type=int, default=NRHS)
-    args = ap.parse_args(argv)
-    run = run_multirhs_smoke(scale=args.scale, k=args.k, seed=args.seed,
-                             nrhs=args.nrhs)
-    Path(args.metrics).parent.mkdir(parents=True, exist_ok=True)
-    write_metrics(run.tracer, args.metrics, meta=run.meta)
-    print(format_stage_summary(run.tracer))
-    rate = run.tracer.counters.get("noise:rhs_per_s", 0.0)
-    print(f"converged={run.converged} iterations={run.iterations} "
-          f"worst_residual={run.residual_norm:.2e} "
-          f"throughput={rate:.1f} RHS/s")
-    print(f"wrote {args.metrics}")
-    return 0 if run.converged else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

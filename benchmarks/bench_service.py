@@ -12,8 +12,8 @@ every sampled cache-hit response is bit-identical to a fresh solve of
 the same system, and no worker processes survive ``service.close()``.
 
 Run directly (``PYTHONPATH=src python -m benchmarks.bench_service``)
-for a one-off report; CI runs the smoke CLI
-(``python -m repro.service.smoke``) instead.
+for a one-off report. The serving layer's pass/fail drill is the
+``service`` scenario of ``python -m repro.smoke``; CI runs both.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ accuracy guarantee.
   certified fixed-precision iterative refinement with stagnation
   detection and resilience escalation;
 - :mod:`repro.numerics.pipeline` — the solver-facing transform
-  composing scaling + matching;
-- :mod:`repro.numerics.smoke` — the CI ``numerics-smoke`` scenario
-  (imported explicitly; it pulls in the solver stack).
+  composing scaling + matching.
+
+The certification drill over the stress suite is the ``numerics``
+scenario of :mod:`repro.smoke`.
 """
 
 from repro.numerics.condest import (

@@ -10,9 +10,10 @@ pipeline reports through:
 - :mod:`repro.obs.export` — Chrome-trace JSON, flat ``metrics.json``,
   human summaries;
 - :mod:`repro.obs.gate` — the perf-regression comparison used by
-  ``tools/perf_gate.py``;
-- :mod:`repro.obs.smoke` — the CI perf-smoke scenario (imported
-  explicitly; it pulls in the solver stack).
+  ``tools/perf_gate.py``.
+
+The traced solves CI gates live with every other drill in
+:mod:`repro.smoke` (``smoke``, ``multirhs``), above the solver.
 """
 
 from repro.obs.events import TraceEvent, chrome_trace_dict, write_chrome_trace

@@ -19,11 +19,11 @@ pipeline must *recover* rather than abort:
   checksummed LU factors and Schur updates, Krylov drift audits, and
   the seeded ``REPRO_CHAOS_BITFLIP_*`` bit-flip injector;
 - :mod:`repro.resilience.checkpoint` — integrity-checked on-disk
-  snapshots (:class:`CheckpointManager`) for kill-and-resume solves;
-- :mod:`repro.resilience.chaos` — the seeded chaos-smoke scenario run
-  by CI (imported explicitly; it pulls in the solver stack);
-- :mod:`repro.resilience.restart_smoke` — the kill-and-resume smoke
-  CLI (imported explicitly; it pulls in the solver stack).
+  snapshots (:class:`CheckpointManager`) for kill-and-resume solves.
+
+The drills that prove all of this end to end are scenarios of
+:mod:`repro.smoke`: ``faults``, ``stragglers``, ``bitflip``,
+``restart`` and ``resume-parity``.
 """
 
 from repro.resilience.abft import (

@@ -20,8 +20,7 @@ module implements them:
 - **A seeded bit-flip injector** (:func:`maybe_bitflip`,
   ``REPRO_CHAOS_BITFLIP_*`` seams) that corrupts a chosen pipeline
   stage deterministically, so the detectors can be drilled end to end
-  on every backend (``python -m repro.resilience.chaos --scenario
-  bitflip``).
+  on every backend (``python -m repro.smoke bitflip``).
 
 Checksum comparisons that recompute the *same* floating-point sum over
 the same data are bit-deterministic, so their tolerances are tiny; the

@@ -4,8 +4,8 @@ Long domain-decomposition factorizations lose everything on an
 interrupt; this module snapshots solver state at stage boundaries so a
 killed solve resumes where it stopped — and, because every restored
 artifact round-trips bit-exactly, produces a **byte-identical** result
-to an uninterrupted run (proven by ``repro.parallel.parity --resume``
-and ``python -m repro.resilience.restart_smoke``).
+to an uninterrupted run (proven by the ``resume-parity`` and
+``restart`` scenarios of ``python -m repro.smoke``).
 
 On-disk format (one directory per checkpoint):
 
@@ -32,7 +32,7 @@ shards, restores the previous handler and re-raises the signal so the
 process still dies with the honest exit status. The
 ``REPRO_CHECKPOINT_KILL_AFTER_SUBDOMAIN`` chaos seam SIGTERMs the
 process right after a chosen subdomain registers, exercising the
-signal-snapshot path end to end (used by ``restart_smoke``).
+signal-snapshot path end to end (used by the ``restart`` drill).
 """
 
 from __future__ import annotations

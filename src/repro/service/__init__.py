@@ -6,7 +6,7 @@
   sessions;
 - :mod:`repro.service.errors` — structured :class:`ServiceError`
   rejections;
-- ``python -m repro.service.smoke`` — mixed-traffic replay smoke.
+- ``python -m repro.smoke service`` — mixed-traffic replay smoke.
 """
 
 from repro.service.cache import Session, SessionCache, session_key

@@ -36,7 +36,7 @@ are recorded on the dispatcher thread only — the Tracer is
 single-stack), counters track cache hits/misses, evicted bytes, queue
 depth high-water, deadline misses and per-batch RHS throughput, and
 :meth:`~SolverService.service_report` returns the whole picture as one
-dict. ``python -m repro.service.smoke`` replays a mixed traffic pattern
+dict. ``python -m repro.smoke service`` replays a mixed traffic pattern
 against all of it.
 """
 

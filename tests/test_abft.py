@@ -5,7 +5,7 @@ passive per-solve audit), the seeded bit-flip injector and its
 environment seams, tolerance behaviour on the ill-conditioned
 ``ROBUST_SUITE``, the Krylov drift audits, the sealed-transport layer,
 and the end-to-end detection -> recovery drills that CI runs via
-``python -m repro.resilience.chaos --scenario bitflip``.
+``python -m repro.smoke bitflip``.
 """
 
 import os
@@ -471,13 +471,13 @@ def _drill_cfg(mode):
 
 class TestEndToEndDrills:
     def test_bitflip_smoke_serial_all_targets(self):
-        from repro.resilience.chaos import run_bitflip_smoke
-        run = run_bitflip_smoke(backends=("serial",))
+        from repro import smoke
+        run = smoke.run("bitflip", backend="serial")
         assert run.ok, run.checks
 
     def test_bitflip_smoke_process_backend(self):
-        from repro.resilience.chaos import run_bitflip_smoke
-        run = run_bitflip_smoke(targets=("lu",), backends=("process:2",))
+        from repro import smoke
+        run = smoke.run("bitflip", backend="process:2", targets=("lu",))
         assert run.ok, run.checks
 
     def test_detect_only_reports_without_repair(self):

@@ -298,10 +298,10 @@ class TestSigtermSnapshot:
 
     @pytest.mark.slow
     def test_restart_smoke_kill_and_resume(self, tmp_path):
-        from repro.resilience.restart_smoke import run_restart_smoke
-        rec = run_restart_smoke(backend="serial",
-                                directory=str(tmp_path / "ckpt"))
-        assert rec["ok"], rec
+        from repro import smoke
+        rec = smoke.run("restart", backend="serial",
+                        directory=str(tmp_path / "ckpt"))
+        assert rec.ok, rec
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,8 @@ class TestDeadlines:
 
     @pytest.mark.slow
     def test_straggler_smoke_drill(self):
-        from repro.resilience.chaos import run_straggler_smoke
-        run = run_straggler_smoke()
+        from repro import smoke
+        run = smoke.run("stragglers")
         assert run.ok, run.checks
 
 

@@ -10,9 +10,9 @@ import pytest
 import scipy.sparse as sp
 from tests.conftest import grid_laplacian
 
+from repro import smoke
 from repro.matrices import generate_robust, robust_suite_names
 from repro.numerics import backward_errors
-from repro.numerics.smoke import run_numerics_smoke
 from repro.obs import Tracer
 from repro.obs.export import load_metrics, stage_metrics, write_metrics
 from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
@@ -68,9 +68,9 @@ class TestRobustSuiteAcceptance:
         assert berr > UNPROTECTED_BERR
 
     def test_smoke_runner_passes(self):
-        run = run_numerics_smoke(check_unprotected=False)
+        run = smoke.run("numerics", check_unprotected=False)
         assert run.ok
-        assert set(run.results) == set(robust_suite_names())
+        assert set(run.record["results"]) == set(robust_suite_names())
         for name in robust_suite_names():
             assert run.checks[f"{name}:certified"]
 

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import smoke
 from repro.obs.gate import compare_metrics
-from repro.obs.smoke import run_multirhs_smoke, run_smoke
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -164,12 +164,12 @@ def test_committed_baseline_is_well_formed():
     """The baselines the CI trace-shape job diffs against stay valid:
     no wall clock in them, and a fresh run of each scenario passes the
     two-sided gate (call counts equal, counters within ``ops_tol``)."""
-    for name, run, required in (
-            ("smoke", run_smoke,
+    for name, required in (
+            ("smoke",
              ("partition", "factor_subdomain", "interface_solve",
               "schur_assemble", "factor_schur", "gmres", "solve",
               "abft_verify")),
-            ("multirhs", run_multirhs_smoke,
+            ("multirhs",
              ("solve_block", "refine_block"))):
         text = (REPO / "benchmarks" / "baselines" / f"{name}.json").read_text()
         base = json.loads(text)
@@ -180,5 +180,5 @@ def test_committed_baseline_is_well_formed():
         for st in base["stages"].values():
             assert st["calls"] >= 1
         assert base["meta"]["converged"] is True
-        report = compare_metrics(run().metrics, base)
+        report = compare_metrics(smoke.run(name).record, base)
         assert report.ok, report.describe()

@@ -8,10 +8,11 @@ import pytest
 import scipy.sparse as sp
 from tests.conftest import grid_laplacian
 
+from repro import smoke
 from repro.obs import Tracer
 from repro.resilience import FaultPlan, FaultSpec, InjectedFault
-from repro.resilience.chaos import run_chaos_smoke, standard_fault_plan
 from repro.service import SolverService
+from repro.smoke import standard_fault_plan
 from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.solver.bicgstab import BiCGSTABResult
 
@@ -109,11 +110,11 @@ class TestFaultInjectionEndToEnd:
         assert ra == rb == pytest.approx(0.02)
 
     def test_chaos_smoke_passes_all_checks(self):
-        run = run_chaos_smoke(k=4, seed=0)
+        run = smoke.run("faults")
         assert run.checks == {name: True for name in run.checks}
         assert run.ok
-        assert run.degraded
-        assert run.breakdown["Recover"] > 0.0
+        assert run.record["degraded"]
+        assert run.record["breakdown"]["Recover"] > 0.0
 
     def test_standard_fault_plan_deterministic(self):
         a = standard_fault_plan(k=4, seed=3)

@@ -399,6 +399,16 @@ class TestObservability:
         assert reachable_objects(machine) == objects
 
     def test_smoke_runner_serial(self):
-        from repro.service.smoke import run_service_smoke
-        out = run_service_smoke("serial", n_requests=12)
-        assert out["ok"], out["checks"]
+        from repro import smoke
+        out = smoke.run("service", backend="serial", n_requests=12)
+        assert out.ok, out.checks
+
+    def test_smoke_runner_ignores_ambient_process_pool(self, monkeypatch):
+        # an ambient REPRO_BACKEND=process must neither leak into the
+        # drill's serial reference solves nor count the shared pool's
+        # workers as orphans of a serial service
+        from repro import smoke
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        out = smoke.run("service", backend="serial", n_requests=12)
+        assert out.checks == {name: True for name in out.checks}

@@ -3,15 +3,18 @@
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.smoke --metrics /tmp/metrics.json
+    PYTHONPATH=src python -m repro.smoke smoke --metrics /tmp/metrics.json
     PYTHONPATH=src python tools/perf_gate.py /tmp/metrics.json \
         benchmarks/baselines/smoke.json
+
+and likewise ``multirhs`` against ``benchmarks/baselines/multirhs.json``:
+each scenario in ``repro.smoke.GATED`` has a baseline.
 
 Exits 0 when the stage set and every stage's call count match the
 baseline exactly and every deterministic counter is within ``--ops-tol``
 of it in either direction, 1 otherwise, 2 on unreadable input. Wall
 time is not compared (``benchmarks/e2e/compare.py`` judges timing).
-Re-record the baseline with ``tools/record_baseline.py`` after an
+Re-record the baselines with ``tools/record_baseline.py`` after an
 intentional change of behaviour.
 """
 

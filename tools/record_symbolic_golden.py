@@ -100,8 +100,9 @@ from repro.ordering import (
     tree_level,
 )
 from repro.obs.tracer import Tracer
-from repro.parallel.exec import ENV_TRANSPORT_CHECKSUM, get_backend
+from repro.parallel.exec import get_backend
 from repro.resilience import FaultPlan, FaultSpec, SolverError, abft
+from repro.smoke import chaos_seams
 from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 from repro.solver.interfaces import extract_interfaces
 from repro.solver.partasks import (
@@ -568,31 +569,7 @@ def solve_rows(name: str) -> list[list[str]]:
 # other three tasks take on the remaining worker.
 
 LADDER_MATRIX = "matrix211"
-_LADDER_ENV = (abft.ENV_BITFLIP_TARGET, abft.ENV_BITFLIP_COUNT,
-               abft.ENV_BITFLIP_SEED, abft.ENV_BITFLIP_SUBDOMAIN,
-               ENV_TRANSPORT_CHECKSUM, ENV_CRASH_SUBDOMAIN,
-               ENV_STRAGGLE_SUBDOMAIN, ENV_STRAGGLE_S)
 _BITFLIP_ENV = {abft.ENV_BITFLIP_SEED: "7", abft.ENV_BITFLIP_SUBDOMAIN: "1"}
-
-
-@contextmanager
-def _chaos_env(env: dict):
-    """Arm exactly the chaos seams in ``env`` (and re-arm the one-shot
-    bit-flip state); the caller's environment comes back afterwards."""
-    saved = {name: os.environ.get(name) for name in _LADDER_ENV}
-    for name in _LADDER_ENV:
-        os.environ.pop(name, None)
-    os.environ.update(env)
-    abft.reset_bitflip_state()
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        abft.reset_bitflip_state()
 
 
 class _Ladder:
@@ -671,7 +648,7 @@ def ladder_bitflip_rows() -> list[list[str]]:
                     if target == "transport" and entry != "solve" \
                             and backend != "serial":
                         backend = "process:1"
-                    with _chaos_env(env), lad.solver(
+                    with chaos_seams(env), lad.solver(
                             backend, abft=mode,
                             block_gmres=(entry == "block_gmres")) as s:
                         lad.observe(f"{target}:{mode}:{entry}:{backend}",
@@ -710,7 +687,7 @@ def ladder_corrupt_rows() -> list[list[str]]:
     lad = _Ladder("corrupt")
     for mode in ("detect", "detect+recover"):
         for backend in ("serial", "process:2"):
-            with _chaos_env({}), lad.solver(backend, abft=mode) as s:
+            with chaos_seams({}), lad.solver(backend, abft=mode) as s:
                 assemble = s._assemble_and_factor_schur
 
                 def corrupt_then_assemble(s=s, assemble=assemble):
@@ -721,7 +698,7 @@ def ladder_corrupt_rows() -> list[list[str]]:
                 lad.observe(f"T_tilde:{mode}:{backend}", s,
                             lad.entry("solve"))
             for entry in ("solve", "block"):
-                with _chaos_env({}), lad.solver(backend, abft=mode) as s:
+                with chaos_seams({}), lad.solver(backend, abft=mode) as s:
                     s.setup()
                     sd = s.subdomains[1]
                     abft.flip_bits([sd.factors.U.data],
@@ -732,7 +709,7 @@ def ladder_corrupt_rows() -> list[list[str]]:
                     sd.handle_thresh = None
                     lad.observe(f"factor:{mode}:{entry}:{backend}", s,
                                 lad.entry(entry))
-            with _chaos_env({}), _corrupt_block_iterate((2, 0)), \
+            with chaos_seams({}), _corrupt_block_iterate((2, 0)), \
                     lad.solver(backend, abft=mode, block_gmres=True) as s:
                 lad.observe(f"block_iterate:{mode}:{backend}", s,
                             lad.entry("block"))
@@ -758,7 +735,7 @@ def ladder_fault_rows() -> list[list[str]]:
                                             **spec)], seed=0)
                 where = "root" if proc is None else f"p{proc}"
                 case = f"{stage}@{where}:{kname}:{backend}"
-                with _chaos_env({}), lad.solver(backend,
+                with chaos_seams({}), lad.solver(backend,
                                                 fault_plan=plan) as s:
                     if lad.observe(f"{case}:solve", s, lad.entry("solve")):
                         lad.observe(f"{case}:block", s, lad.entry("block"))
@@ -773,18 +750,18 @@ def ladder_chaos_rows() -> list[list[str]]:
     crash = {ENV_CRASH_SUBDOMAIN: "1"}
     straggle = {ENV_STRAGGLE_SUBDOMAIN: "1", ENV_STRAGGLE_S: "30"}
 
-    with _chaos_env(crash), lad.solver("process:1") as s:
+    with chaos_seams(crash), lad.solver("process:1") as s:
         lad.observe("crash:setup", s, lad.entry("solve"))
-    with _chaos_env({}), lad.solver("process:1") as s:
+    with chaos_seams({}), lad.solver("process:1") as s:
         s.setup()
         os.environ.update(crash)
         s.backend.close()           # the next fan-out forks armed workers
         lad.observe("crash:solve_block", s, lad.entry("block"))
 
-    with _chaos_env(straggle), lad.solver("process:2",
+    with chaos_seams(straggle), lad.solver("process:2",
                                           task_deadline_s=1.5) as s:
         lad.observe("straggle:setup", s, lad.entry("solve"))
-    with _chaos_env({}), lad.solver("process:2", task_deadline_s=0.75,
+    with chaos_seams({}), lad.solver("process:2", task_deadline_s=0.75,
                                     refine_maxiter=0) as s:
         s.setup()
         os.environ.update(straggle)
