@@ -143,7 +143,7 @@ def coarsening(cavity):
     levels = coarsen_hypergraph(H, seed=0)
     caps = np.full((2, 1), 0.55 * H.n_vertices)
     rng = np.random.default_rng(0)
-    coarsest = levels[-1].hypergraph
+    coarsest = levels[-1].coarse
     return (H, coarsest, caps, rng.integers(0, 2, H.n_vertices),
             rng.integers(0, 2, coarsest.n_vertices))
 

@@ -7,7 +7,6 @@ from repro.graphs.bisect import (
     greedy_bfs_bisection,
 )
 from repro.graphs.coarsen import (
-    CoarseLevel,
     coarsen,
     contract,
     heavy_edge_matching,
@@ -28,7 +27,7 @@ from repro.graphs.spectral import (
 
 __all__ = [
     "Graph",
-    "CoarseLevel", "heavy_edge_matching", "contract", "coarsen",
+    "heavy_edge_matching", "contract", "coarsen",
     "fm_refine_bisection", "compute_gains",
     "BisectionResult", "bisect_graph", "greedy_bfs_bisection",
     "VertexSeparator", "maximum_bipartite_matching", "vertex_separator_from_cut",

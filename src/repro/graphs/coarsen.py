@@ -8,28 +8,14 @@ vertices. Vertex weights add; parallel coarse edges accumulate weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
-from repro.utils import SeedLike, rng_from
-from repro.utils.multilevel import fine_to_coarse_map
+from repro.utils import SeedLike, multilevel, rng_from
+from repro.utils.multilevel import Level, fine_to_coarse_map
 
-__all__ = ["CoarseLevel", "heavy_edge_matching", "contract", "coarsen"]
-
-
-@dataclass
-class CoarseLevel:
-    """One coarsening step: the coarse graph and the fine->coarse map."""
-
-    graph: Graph
-    fine_to_coarse: np.ndarray
-
-    def project(self, coarse_side: np.ndarray) -> np.ndarray:
-        """Lift a per-coarse-vertex label to the fine vertices."""
-        return coarse_side[self.fine_to_coarse]
+__all__ = ["heavy_edge_matching", "contract", "coarsen"]
 
 
 def heavy_edge_matching(g: Graph, seed: SeedLike = None,
@@ -59,7 +45,7 @@ def heavy_edge_matching(g: Graph, seed: SeedLike = None,
     return np.asarray(match, dtype=np.int64)
 
 
-def contract(g: Graph, match: np.ndarray) -> CoarseLevel:
+def contract(g: Graph, match: np.ndarray) -> Level:
     """Contract matched pairs into coarse vertices."""
     n = g.n_vertices
     fine_to_coarse, nc = fine_to_coarse_map(np.asarray(match, dtype=np.int64))
@@ -78,29 +64,10 @@ def contract(g: Graph, match: np.ndarray) -> CoarseLevel:
     Cadj.sort_indices()
     cg = Graph(Cadj.indptr, Cadj.indices,
                Cadj.data.astype(np.int64), cvw)
-    return CoarseLevel(graph=cg, fine_to_coarse=fine_to_coarse)
+    return Level(cg, fine_to_coarse)
 
 
-def coarsen(g: Graph, *, min_vertices: int = 64, max_levels: int = 40,
-            reduction_floor: float = 0.95, seed: SeedLike = None,
-            max_weight: int | None = None) -> list[CoarseLevel]:
-    """Repeatedly match-and-contract until the graph is small.
-
-    Stops when the graph has at most ``min_vertices`` vertices, a level
-    shrinks by less than ``1 - reduction_floor``, or ``max_levels`` is
-    reached. Returns the list of levels, finest first (empty when no
-    coarsening happened).
-    """
-    rng = rng_from(seed)
-    levels: list[CoarseLevel] = []
-    cur = g
-    for _ in range(max_levels):
-        if cur.n_vertices <= min_vertices:
-            break
-        match = heavy_edge_matching(cur, rng, max_weight=max_weight)
-        level = contract(cur, match)
-        if level.graph.n_vertices >= reduction_floor * cur.n_vertices:
-            break
-        levels.append(level)
-        cur = level.graph
-    return levels
+def coarsen(g: Graph, *, min_vertices: int = 64, **stop) -> list[Level]:
+    """:func:`repro.utils.multilevel.coarsen` by heavy-edge matching."""
+    return multilevel.coarsen(g, heavy_edge_matching, contract,
+                              min_vertices=min_vertices, **stop)

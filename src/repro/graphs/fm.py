@@ -34,9 +34,9 @@ def compute_gains(g: Graph, side: np.ndarray) -> np.ndarray:
     return gains
 
 
-def fm_refine_bisection(g: Graph, side: np.ndarray, *,
+def fm_refine_bisection(g: Graph, side: np.ndarray,
                         max_part_weight: float | tuple[float, float],
-                        max_passes: int = 8,
+                        max_passes: int = 8, *,
                         stall_limit: int = 200) -> tuple[np.ndarray, int]:
     """Refine a 0/1 ``side`` assignment in place-semantics (returns a copy).
 

@@ -2,19 +2,13 @@
 multilevel bisection with multi-constraint FM, and the net
 splitting/discarding machinery for recursive bisection."""
 
-from repro.hypergraph.bisect import (
-    HBisectionResult,
-    bisect_hypergraph,
-    enforce_exact_quota,
-)
+from repro.hypergraph.bisect import HBisectionResult, bisect_hypergraph
 from repro.hypergraph.coarsen import (
-    HCoarseLevel,
     coarsen_hypergraph,
     contract_hypergraph,
     heavy_connectivity_matching,
 )
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.kway import kway_move_gain, kway_refine
 from repro.hypergraph.metrics import (
     CutMetric,
     cutsize,
@@ -27,9 +21,9 @@ from repro.hypergraph.netops import (
     initial_net_costs,
     split_by_side,
 )
-from repro.hypergraph.partitioner import KWayPartition, partition_hypergraph
 from repro.hypergraph.refine import (
     bisection_cut,
+    enforce_exact_quota,
     fm_refine_hypergraph,
     hypergraph_gains,
 )
@@ -37,11 +31,9 @@ from repro.hypergraph.refine import (
 __all__ = [
     "Hypergraph",
     "CutMetric", "net_connectivities", "cutsize", "imbalance", "part_weights",
-    "HCoarseLevel", "heavy_connectivity_matching", "contract_hypergraph",
+    "heavy_connectivity_matching", "contract_hypergraph",
     "coarsen_hypergraph",
     "fm_refine_hypergraph", "bisection_cut", "hypergraph_gains",
     "HBisectionResult", "bisect_hypergraph", "enforce_exact_quota",
     "BisectionSplit", "split_by_side", "initial_net_costs",
-    "KWayPartition", "partition_hypergraph",
-    "kway_refine", "kway_move_gain",
 ]

@@ -10,27 +10,14 @@ metric used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.utils import SeedLike, rng_from
-from repro.utils.multilevel import concat_ranges, fine_to_coarse_map
+from repro.utils import SeedLike, multilevel, rng_from
+from repro.utils.multilevel import Level, concat_ranges, fine_to_coarse_map
 
-__all__ = ["HCoarseLevel", "heavy_connectivity_matching", "contract_hypergraph",
+__all__ = ["heavy_connectivity_matching", "contract_hypergraph",
            "coarsen_hypergraph"]
-
-
-@dataclass
-class HCoarseLevel:
-    """One coarsening step: coarse hypergraph plus fine->coarse map."""
-
-    hypergraph: Hypergraph
-    fine_to_coarse: np.ndarray
-
-    def project(self, coarse_side: np.ndarray) -> np.ndarray:
-        return coarse_side[self.fine_to_coarse]
 
 
 def heavy_connectivity_matching(H: Hypergraph, seed: SeedLike = None, *,
@@ -129,7 +116,7 @@ def _group_identical_nets_exact(ptr: np.ndarray,
         dtype=np.int64)
 
 
-def contract_hypergraph(H: Hypergraph, match: np.ndarray) -> HCoarseLevel:
+def contract_hypergraph(H: Hypergraph, match: np.ndarray) -> Level:
     """Contract matched pairs; dedupe pins, drop trivial nets, merge
     identical nets."""
     fine_to_coarse, nc = fine_to_coarse_map(np.asarray(match, dtype=np.int64))
@@ -162,24 +149,10 @@ def contract_hypergraph(H: Hypergraph, match: np.ndarray) -> HCoarseLevel:
         net_costs=new_costs[is_first],
         net_ids=H.net_ids[live[is_first]],
     )
-    return HCoarseLevel(hypergraph=coarse, fine_to_coarse=fine_to_coarse)
+    return Level(coarse, fine_to_coarse)
 
 
-def coarsen_hypergraph(H: Hypergraph, *, min_vertices: int = 96,
-                       max_levels: int = 40, reduction_floor: float = 0.95,
-                       seed: SeedLike = None,
-                       max_weight: np.ndarray | None = None) -> list[HCoarseLevel]:
-    """Match-and-contract until small or stalled; finest level first."""
-    rng = rng_from(seed)
-    levels: list[HCoarseLevel] = []
-    cur = H
-    for _ in range(max_levels):
-        if cur.n_vertices <= min_vertices:
-            break
-        match = heavy_connectivity_matching(cur, rng, max_weight=max_weight)
-        level = contract_hypergraph(cur, match)
-        if level.hypergraph.n_vertices >= reduction_floor * cur.n_vertices:
-            break
-        levels.append(level)
-        cur = level.hypergraph
-    return levels
+def coarsen_hypergraph(H: Hypergraph, **stop) -> list[Level]:
+    """:func:`repro.utils.multilevel.coarsen` by connectivity matching."""
+    return multilevel.coarsen(H, heavy_connectivity_matching,
+                              contract_hypergraph, **stop)

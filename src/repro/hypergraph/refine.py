@@ -7,7 +7,9 @@ critical-net gain-update rules, generalized to:
 - multi-constraint vertex weights with per-side caps (the RHB
   multi-constraint bisection of Section III-C);
 - a lazy max-gain queue (:class:`repro.utils.multilevel.GainQueue`) with
-  rollback to the best prefix of each pass.
+  rollback to the best prefix of each pass;
+- the exact-quota repair (:func:`enforce_exact_quota`), which moves the
+  highest-gain vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.utils import as_int_array
 from repro.utils.multilevel import GainQueue
 
-__all__ = ["fm_refine_hypergraph", "bisection_cut", "hypergraph_gains"]
+__all__ = ["fm_refine_hypergraph", "bisection_cut", "hypergraph_gains",
+           "enforce_exact_quota"]
 
 
 def as_side(H: Hypergraph, side: np.ndarray) -> np.ndarray:
@@ -72,9 +75,28 @@ def _side_counts(H: Hypergraph, side: np.ndarray) -> np.ndarray:
     return np.stack([H.net_sizes() - on_1, on_1])
 
 
-def fm_refine_hypergraph(H: Hypergraph, side: np.ndarray, *,
-                         caps: np.ndarray,
-                         max_passes: int = 8,
+def enforce_exact_quota(H: Hypergraph, side: np.ndarray, quota0: int) -> np.ndarray:
+    """Move minimum-damage vertices across the cut until side 0 holds
+    exactly ``quota0`` vertices.
+
+    Vertices are chosen by FM gain (highest gain first), so the repair
+    degrades the cut as little as possible. Used with unit weights.
+    """
+    side = side.copy()
+    count0 = int(np.count_nonzero(side == 0))
+    if count0 == quota0:
+        return side
+    src = 0 if count0 > quota0 else 1
+    deficit = abs(count0 - quota0)
+    gains = hypergraph_gains(H, side, _side_counts(H, side))
+    candidates = np.flatnonzero(side == src)
+    order = candidates[np.argsort(-gains[candidates], kind="stable")]
+    side[order[:deficit]] = 1 - src
+    return side
+
+
+def fm_refine_hypergraph(H: Hypergraph, side: np.ndarray,
+                         caps: np.ndarray, max_passes: int = 8, *,
                          stall_limit: int = 300) -> tuple[np.ndarray, int]:
     """Refine a 0/1 side assignment; returns ``(side, cut)``.
 

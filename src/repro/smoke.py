@@ -18,7 +18,9 @@ Scenarios (:data:`SCENARIOS`; :func:`run` calls one by name):
 
 - ``smoke`` / ``multirhs`` — one traced ``solve`` / one batched
   ``solve_block`` of the tiny Table-I matrix; their trace shape is what
-  CI gates against ``benchmarks/baselines/<name>.json`` (:data:`GATED`);
+  CI gates against ``benchmarks/baselines/<name>.json`` (:data:`GATED`),
+  so they run ``serial``, as the baselines were recorded, whatever the
+  ambient ``REPRO_BACKEND``;
 - ``numerics`` — the robustness stress suite certifies (``berr <=
   1e-12``) with the numerics layer on and visibly fails with it off;
 - ``faults`` — the smoke solve under :func:`standard_fault_plan`
@@ -225,7 +227,7 @@ def _gated(name: str, p: Problem, tracer: Tracer, converged: bool,
 
 
 @scenario("smoke")
-def _smoke(backend=None) -> SmokeRun:
+def _smoke(backend="serial") -> SmokeRun:
     """One traced solve of the smoke problem. It checkpoints into a
     throwaway directory so the checkpoint-write path (shard packing,
     digests, the manifest) is part of the gated trace shape; its byte
@@ -239,7 +241,7 @@ def _smoke(backend=None) -> SmokeRun:
 
 
 @scenario("multirhs")
-def _multirhs(backend=None) -> SmokeRun:
+def _multirhs(backend="serial") -> SmokeRun:
     """One setup, one batched ``solve_block`` over
     :data:`MULTIRHS_NRHS` columns: the batched path's stages
     (``solve_block``, ``refine_block``), how often each ran and its

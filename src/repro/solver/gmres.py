@@ -58,18 +58,12 @@ def gmres(matvec: Operator, b: np.ndarray, *,
           tol: float = 1e-10,
           restart: int = 50,
           maxiter: int = 500,
-          flexible: bool = False,
           tracer: Tracer = NULL_TRACER) -> GMRESResult:
     """Solve ``A x = b`` given ``matvec(v) = A v``.
 
     Right preconditioning: iterates on ``A M^{-1} u = b`` with
     ``x = M^{-1} u``, so the printed residuals are true residuals of the
     original system. Convergence: ``||b - A x|| <= tol * ||b||``.
-
-    ``flexible=True`` gives FGMRES (Saad 1993): the preconditioned
-    vectors ``z_j = M_j(v_j)`` are stored explicitly so the
-    preconditioner may change between iterations — PDSLin uses this mode
-    when the Schur preconditioner itself involves inner iterations.
 
     ``tracer`` records one ``gmres`` span with a ``gmres_iterations``
     counter (and ``gmres_converged`` 0/1).
@@ -80,10 +74,9 @@ def gmres(matvec: Operator, b: np.ndarray, *,
     check_finite(np.asarray(b, dtype=np.float64), "b")
     if x0 is not None:
         check_finite(np.asarray(x0, dtype=np.float64), "x0")
-    with tracer.span("gmres", flexible=flexible, restart=restart):
+    with tracer.span("gmres", restart=restart):
         res = _gmres(matvec, b, preconditioner=preconditioner, x0=x0,
-                     tol=tol, restart=restart, maxiter=maxiter,
-                     flexible=flexible)
+                     tol=tol, restart=restart, maxiter=maxiter)
         tracer.count("gmres_iterations", res.iterations)
         tracer.count("gmres_converged", int(res.converged))
         tracer.count("gmres_drift_checks", res.drift_checks)
@@ -96,8 +89,7 @@ def _gmres(matvec: Operator, b: np.ndarray, *,
            x0: Optional[np.ndarray] = None,
            tol: float = 1e-10,
            restart: int = 50,
-           maxiter: int = 500,
-           flexible: bool = False) -> GMRESResult:
+           maxiter: int = 500) -> GMRESResult:
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     if restart <= 0 or maxiter <= 0:
@@ -125,7 +117,6 @@ def _gmres(matvec: Operator, b: np.ndarray, *,
                                drift_detected=drift_detected)
         m = min(restart, maxiter - total_iters)
         V = np.zeros((n, m + 1))
-        Z = np.zeros((n, m)) if flexible else None
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -138,8 +129,6 @@ def _gmres(matvec: Operator, b: np.ndarray, *,
             # copy: a matvec/preconditioner may return its input array,
             # and the MGS loop below mutates w in place
             z = np.asarray(M(V[:, j]), dtype=np.float64)
-            if Z is not None:
-                Z[:, j] = z
             w = np.array(matvec(z), dtype=np.float64, copy=True)
             # modified Gram-Schmidt
             for i in range(j + 1):
@@ -185,10 +174,7 @@ def _gmres(matvec: Operator, b: np.ndarray, *,
         # solve the small triangular system and update x
         if j_done > 0:
             y = np.linalg.solve(np.triu(H[:j_done, :j_done]), g[:j_done])
-            if Z is not None:
-                x = x + Z[:, :j_done] @ y
-            else:
-                x = x + M(V[:, :j_done] @ y)
+            x = x + M(V[:, :j_done] @ y)
         r = b - matvec(x)
         rnorm = float(np.linalg.norm(r))
         # ABFT drift audit: the recursive estimate |g[j_done]| claims

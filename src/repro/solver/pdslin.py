@@ -131,7 +131,7 @@ class PDSLinConfig:
     block_size: int = 60                # paper's default B
     rhs_ordering: str = "postorder"
     quasi_dense_tau: Optional[float] = 0.4
-    krylov: str = "gmres"               # "gmres" | "fgmres" | "bicgstab"
+    krylov: str = "gmres"               # "gmres" | "bicgstab"
     schur_factorization: str = "lu"     # "lu" | "ilu" (spilu on S~)
     gmres_tol: float = 1e-10
     gmres_restart: int = 100
@@ -173,9 +173,9 @@ class PDSLinConfig:
                              f"{self.partitioner!r}")
         if self.rhs_ordering not in RHS_ORDERINGS:
             raise ValueError(f"rhs_ordering must be one of {RHS_ORDERINGS}")
-        if self.krylov not in ("gmres", "fgmres", "bicgstab"):
-            raise ValueError("krylov must be 'gmres', 'fgmres' or "
-                             f"'bicgstab', got {self.krylov!r}")
+        if self.krylov not in ("gmres", "bicgstab"):
+            raise ValueError("krylov must be 'gmres' or 'bicgstab', got "
+                             f"{self.krylov!r}")
         if self.schur_factorization not in ("lu", "ilu"):
             raise ValueError("schur_factorization must be 'lu' or 'ilu', "
                              f"got {self.schur_factorization!r}")
@@ -1574,7 +1574,6 @@ class PDSLin:
                          x0=x0, tol=cfg.gmres_tol,
                          restart=cfg.gmres_restart,
                          maxiter=cfg.gmres_maxiter,
-                         flexible=(cfg.krylov == "fgmres"),
                          tracer=self.tracer)
         return self._on_stage("Solve", body)
 
@@ -1829,7 +1828,7 @@ class PDSLin:
         per-column ladder, so every column ends equally certified."""
         cfg = self.config
         p = G.shape[1]
-        if cfg.block_gmres and p > 1 and cfg.krylov in ("gmres", "fgmres"):
+        if cfg.block_gmres and p > 1 and cfg.krylov == "gmres":
             def body(ledger):
                 return gmres_block(matvec, G,
                                    preconditioner=self._precondition,

@@ -1,18 +1,140 @@
-"""Pieces shared by the two multilevel bisectors (``repro.hypergraph``
-and ``repro.graphs``): the FM gain queue and the small array kernels
-both coarsen / initial-partition stacks need.
+"""The multilevel V-cycle of both bisectors (``repro.hypergraph`` and
+``repro.graphs``), written once, and the small kernels both need. An
+:class:`Engine` holds what differs between the two models: matching,
+contraction, BFS growth, the random balanced fill, FM and scoring.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-__all__ = ["GainQueue", "concat_ranges", "csr_lists", "fine_to_coarse_map",
-           "fill_side0"]
+from repro.utils.prng import SeedLike, rng_from, spawn
+
+__all__ = ["Level", "Engine", "coarsen", "TrialTask", "run_trials", "rank",
+           "bisect", "GainQueue", "concat_ranges", "csr_lists",
+           "fine_to_coarse_map", "fill_side0"]
+
+
+class Level(NamedTuple):
+    """One coarsening step: the coarse (hyper)graph, fine->coarse map."""
+
+    coarse: Any
+    fine_to_coarse: np.ndarray
+
+    def project(self, coarse_side: np.ndarray) -> np.ndarray:
+        """Lift a per-coarse-vertex label to the fine vertices."""
+        return coarse_side[self.fine_to_coarse]
+
+
+class Engine(NamedTuple):
+    """One model's pieces, called as in :func:`coarsen` / :func:`run_trials`
+    (module-level functions, so an engine pickles by reference)."""
+
+    match: Callable
+    contract: Callable
+    grow: Callable
+    fill: Callable
+    refine: Callable
+    score: Callable
+
+
+def coarsen(fine, match: Callable, contract: Callable, *,
+            min_vertices: int = 96, max_levels: int = 40,
+            reduction_floor: float = 0.95, seed: SeedLike = None,
+            max_weight=None) -> list[Level]:
+    """Match and contract until at most ``min_vertices`` vertices are
+    left, a level shrinks by less than ``1 - reduction_floor``, or
+    ``max_levels`` levels exist; finest first (empty: no coarsening)."""
+    rng = rng_from(seed)
+    levels: list[Level] = []
+    cur = fine
+    for _ in range(max_levels):
+        if cur.n_vertices <= min_vertices:
+            break
+        level = contract(cur, match(cur, rng, max_weight=max_weight))
+        if level.coarse.n_vertices >= reduction_floor * cur.n_vertices:
+            break
+        levels.append(level)
+        cur = level.coarse
+    return levels
+
+
+class TrialTask(NamedTuple):
+    """The trials one worker runs: the multilevel state plus one
+    pre-drawn generator per trial, so they run alike on any backend."""
+
+    fine: Any
+    levels: list
+    rngs: list
+
+
+def run_trials(engine: Engine, caps, target0: float, passes: int,
+               finish: Callable | None, task: TrialTask) -> list:
+    """One V-cycle per generator of ``task``: initial side and FM on the
+    coarsest level, FM after every projection, ``finish``, score."""
+    levels = task.levels
+    coarsest = levels[-1].coarse if levels else task.fine
+    out = []
+    for child in task.rngs:
+        initial = engine.grow if child.random() < 0.5 \
+            or coarsest.n_vertices < 4 else engine.fill
+        side, _ = engine.refine(coarsest, initial(coarsest, target0, child),
+                                caps, passes)
+        for i in range(len(levels) - 1, -1, -1):
+            fine = task.fine if i == 0 else levels[i - 1].coarse
+            side, _ = engine.refine(fine, levels[i].project(side), caps,
+                                    passes)
+        if finish is not None:
+            side = finish(task.fine, side)
+        out.append(engine.score(task.fine, side))
+    return out
+
+
+def rank(result, caps) -> tuple:
+    """Best-of-trials order, smallest first: within every cap, then the
+    lower cut, then the lighter heaviest side."""
+    w = np.ravel(result.part_weights).tolist()
+    over = any(x > c for x, c in zip(w, np.ravel(caps).tolist()))
+    return over, result.cut, max(w)
+
+
+def bisect(engine: Engine, fine, caps, *, max_weight, target0: float,
+           seed: SeedLike, n_trials: int, coarsen_min: int, fm_passes: int,
+           finish: Callable | None = None, backend=None):
+    """The best of ``n_trials`` V-cycles over one coarsening of ``fine``.
+    Draws from ``seed`` in a fixed order (coarsening, then one child per
+    trial) and reduces in trial order, so a non-inline ``backend`` (one
+    task per worker) returns the same bits as inline."""
+    rng = rng_from(seed)
+    levels = coarsen(fine, engine.match, engine.contract,
+                     min_vertices=coarsen_min, seed=rng, max_weight=max_weight)
+    children = spawn(rng, max(1, n_trials))
+    run = partial(run_trials, engine, caps, target0, fm_passes, finish)
+    pooled = backend is not None and not backend.inline and len(children) > 1
+    # one task per worker, not per trial: every task pickles the whole
+    # multilevel state, and its worker builds the list forms once
+    per_task = -(-len(children) // (backend.workers if pooled else 1))
+    tasks = [TrialTask(fine, levels, children[i:i + per_task])
+             for i in range(0, len(children), per_task)]
+    results = [] if pooled else run(tasks[0])
+    if pooled:
+        # repro.utils sits below repro.resilience: import on use
+        from repro.resilience.errors import WorkerCrashError
+        for task, out in zip(tasks, backend.map(run, tasks)):
+            if isinstance(out.error, WorkerCrashError):
+                # the shipped generators were pickled copies, so the
+                # parent's are still pristine: rerun inline, bit-identical
+                results.extend(run(task))
+            elif out.error is not None:
+                raise out.error
+            else:
+                results.extend(out.value)
+    return min(results, key=partial(rank, caps=caps))
 
 
 class GainQueue:

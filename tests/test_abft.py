@@ -484,8 +484,11 @@ class TestEndToEndDrills:
         A, b = _smoke_problem()
         _arm("lu", seed=9, subdomain=1)
         tr = Tracer()
+        # serial: a pooled backend forked before _arm would not see the
+        # seam (the process leg is the ``repro.smoke bitflip`` drill's)
         res = PDSLin(A, _drill_cfg("detect"),
-                     runtime=RuntimeOptions(tracer=tr)).solve(b)
+                     runtime=RuntimeOptions(tracer=tr,
+                                            backend="serial")).solve(b)
         actions = [e.action for e in res.recovery.events]
         assert tr.counters.get("sdc_detected", 0) >= 1
         assert tr.counters.get("sdc_recovered", 0) == 0

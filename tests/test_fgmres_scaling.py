@@ -1,47 +1,8 @@
-"""Tests for FGMRES and the two-level-vs-one-level scaling experiment."""
+"""Tests for the two-level-vs-one-level scaling experiment."""
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.experiments import format_scaling, run_twolevel_vs_onelevel
-from repro.solver import gmres
-
-
-class TestFGMRES:
-    def test_fixed_preconditioner_matches_gmres(self, spd60, rng):
-        b = rng.standard_normal(60)
-        d = spd60.diagonal()
-        M = lambda v: v / d
-        plain = gmres(lambda v: spd60 @ v, b, preconditioner=M, tol=1e-10)
-        flex = gmres(lambda v: spd60 @ v, b, preconditioner=M, tol=1e-10,
-                     flexible=True)
-        assert flex.converged
-        np.testing.assert_allclose(flex.x, plain.x, atol=1e-8)
-
-    def test_varying_preconditioner_converges(self, rng):
-        """A preconditioner that changes each call breaks plain GMRES's
-        assumptions but FGMRES handles it."""
-        d = np.logspace(0, 5, 50)
-        A = sp.diags(d)
-        b = rng.standard_normal(50)
-        state = {"i": 0}
-
-        def M(v):
-            state["i"] += 1
-            # alternate between two inexact diagonal preconditioners
-            scale = 1.0 if state["i"] % 2 == 0 else 0.5
-            return scale * v / d
-
-        res = gmres(lambda v: A @ v, b, preconditioner=M, tol=1e-10,
-                    flexible=True, restart=30, maxiter=200)
-        assert res.converged
-        assert np.linalg.norm(A @ res.x - b) <= 1e-8 * np.linalg.norm(b)
-
-    def test_no_preconditioner(self, spd60, rng):
-        b = rng.standard_normal(60)
-        res = gmres(lambda v: spd60 @ v, b, flexible=True, tol=1e-10)
-        assert res.converged
 
 
 class TestScalingExperiment:

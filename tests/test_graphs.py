@@ -65,12 +65,12 @@ class TestCoarsening:
     def test_contract_preserves_total_weight(self, grid16):
         g = Graph.from_matrix(grid16)
         level = contract(g, heavy_edge_matching(g, seed=0))
-        assert level.graph.total_vertex_weight == g.total_vertex_weight
+        assert level.coarse.total_vertex_weight == g.total_vertex_weight
 
     def test_contract_projection_roundtrip(self, grid16):
         g = Graph.from_matrix(grid16)
         level = contract(g, heavy_edge_matching(g, seed=0))
-        coarse_side = np.zeros(level.graph.n_vertices, dtype=np.int64)
+        coarse_side = np.zeros(level.coarse.n_vertices, dtype=np.int64)
         coarse_side[::2] = 1
         fine = level.project(coarse_side)
         assert fine.size == g.n_vertices
@@ -79,13 +79,13 @@ class TestCoarsening:
         g = Graph.from_matrix(grid16)
         levels = coarsen(g, min_vertices=32, seed=0)
         assert levels
-        assert levels[-1].graph.n_vertices < g.n_vertices / 2
+        assert levels[-1].coarse.n_vertices < g.n_vertices / 2
 
     def test_cut_preserved_under_projection(self, grid16):
         # edge cut of a projected partition equals the coarse cut
         g = Graph.from_matrix(grid16)
         level = contract(g, heavy_edge_matching(g, seed=1))
-        cg = level.graph
+        cg = level.coarse
         rng = np.random.default_rng(0)
         side = rng.integers(0, 2, cg.n_vertices)
         assert cg.edge_cut(side) == g.edge_cut(level.project(side))

@@ -137,13 +137,13 @@ class TestCoarsening:
     def test_contract_preserves_weight(self, grid16):
         H = Hypergraph.column_net_model(grid16)
         level = contract_hypergraph(H, heavy_connectivity_matching(H, seed=0))
-        np.testing.assert_array_equal(level.hypergraph.total_weight(),
+        np.testing.assert_array_equal(level.coarse.total_weight(),
                                       H.total_weight())
 
     def test_coarse_cut_equals_fine_cut_under_projection(self, grid16):
         H = Hypergraph.column_net_model(grid16)
         level = contract_hypergraph(H, heavy_connectivity_matching(H, seed=1))
-        Hc = level.hypergraph
+        Hc = level.coarse
         rng = np.random.default_rng(2)
         cside = rng.integers(0, 2, Hc.n_vertices)
         fine = level.project(cside)
@@ -154,7 +154,7 @@ class TestCoarsening:
     def test_coarsen_shrinks(self, grid16):
         H = Hypergraph.column_net_model(grid16)
         levels = coarsen_hypergraph(H, min_vertices=40, seed=0)
-        assert levels and levels[-1].hypergraph.n_vertices < H.n_vertices / 2
+        assert levels and levels[-1].coarse.n_vertices < H.n_vertices / 2
 
 
 class TestFM:

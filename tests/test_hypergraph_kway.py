@@ -1,147 +1,52 @@
-"""Tests for the standalone k-way partitioner and direct k-way
-refinement."""
+"""Tests for static-weight k-way hypergraph partitioning: RHB with unit
+vertex weights (``rhb_partition(scheme="unit")``), the "standard
+partitioning method" the paper compares its dynamic weights against."""
 
 import numpy as np
 import pytest
 from tests.conftest import grid_laplacian
 
-from repro.hypergraph import (
-    Hypergraph,
-    cutsize,
-    imbalance,
-    kway_move_gain,
-    kway_refine,
-    partition_hypergraph,
-)
-from repro.hypergraph.kway import _pin_counts
+from repro.core import rhb_partition
+from repro.hypergraph import Hypergraph, cutsize, imbalance
+
+M_GRID = grid_laplacian(16, 16)
+
+
+def _unit_rhb(M, k, **kw):
+    """k-way partition of the rows of ``M`` (the vertices of its
+    column-net hypergraph) under static unit weights."""
+    return rhb_partition((M.T @ M).tocsr(), k, M=M, scheme="unit", **kw)
 
 
 @pytest.fixture(scope="module")
 def grid_h():
-    return Hypergraph.column_net_model(grid_laplacian(16, 16))
+    return Hypergraph.column_net_model(M_GRID)
 
 
 class TestPartitionHypergraph:
     @pytest.mark.parametrize("metric", ["con1", "cnet", "soed"])
     def test_all_metrics_run(self, grid_h, metric):
-        res = partition_hypergraph(grid_h, 4, metric=metric, seed=0)
-        assert res.cut == cutsize(grid_h, res.part, 4, metric)
-        counts = np.bincount(res.part, minlength=4)
+        res = _unit_rhb(M_GRID, 4, metric=metric, seed=0)
+        assert res.total_cut_cost == cutsize(grid_h, res.row_part, 4, metric)
+        counts = np.bincount(res.row_part, minlength=4)
         assert np.all(counts > 0)
 
     def test_balance_bound(self, grid_h):
-        res = partition_hypergraph(grid_h, 4, epsilon=0.05, seed=0)
+        res = _unit_rhb(M_GRID, 4, epsilon=0.05, seed=0)
         # recursive bisection compounds epsilon; allow modest slack
-        assert res.imbalance[0] <= 0.25
+        assert imbalance(grid_h, res.row_part, 4)[0] <= 0.25
 
-    def test_k1_trivial(self, grid_h):
-        res = partition_hypergraph(grid_h, 1, seed=0)
-        assert res.cut == 0
-        assert np.all(res.part == 0)
+    def test_k1_trivial(self):
+        res = _unit_rhb(M_GRID, 1, seed=0)
+        assert res.total_cut_cost == 0
+        assert np.all(res.row_part == 0)
 
-    def test_cut_reasonable_on_grid(self):
-        H = Hypergraph.column_net_model(grid_laplacian(16, 16))
-        res = partition_hypergraph(H, 4, metric="con1", seed=0)
+    def test_cut_reasonable_on_grid(self, grid_h):
+        res = _unit_rhb(M_GRID, 4, metric="con1", seed=0)
         # 3 straight cuts cost ~3*2*16 connectivity; anything < 160 is sane
-        assert res.cut < 160
+        assert cutsize(grid_h, res.row_part, 4, "con1") < 160
 
-    def test_refinement_never_worse(self, grid_h):
-        raw = partition_hypergraph(grid_h, 8, seed=3, refine_kway=False)
-        ref = partition_hypergraph(grid_h, 8, seed=3, refine_kway=True)
-        assert ref.cut <= raw.cut
-
-    def test_deterministic(self, grid_h):
-        a = partition_hypergraph(grid_h, 4, seed=5)
-        b = partition_hypergraph(grid_h, 4, seed=5)
-        np.testing.assert_array_equal(a.part, b.part)
-
-
-class TestKWayGain:
-    def make(self):
-        # one net {0,1,2}, parts [0, 0, 1] with k=3
-        H = Hypergraph.from_arrays([0, 3], [0, 1, 2], 3)
-        part = np.array([0, 0, 1])
-        pi = _pin_counts(H, part, 3)
-        return H, part, pi, H.net_sizes()
-
-    def test_con1_gain_uncut(self):
-        H, part, pi, sizes = self.make()
-        # moving v2 from part1 to part0 uncuts the net: +1
-        assert kway_move_gain(H, pi, sizes, 2, 1, 0, "con1") == 1
-
-    def test_con1_gain_new_part(self):
-        H, part, pi, sizes = self.make()
-        # moving v0 from part0 to empty part2 raises lambda: -1
-        assert kway_move_gain(H, pi, sizes, 0, 0, 2, "con1") == -1
-
-    def test_cnet_gain(self):
-        H, part, pi, sizes = self.make()
-        # v2 to part0 makes the net internal: cnet +1
-        assert kway_move_gain(H, pi, sizes, 2, 1, 0, "cnet") == 1
-
-    def test_soed_is_sum(self):
-        H, part, pi, sizes = self.make()
-        for (v, a, b) in ((2, 1, 0), (0, 0, 2), (0, 0, 1)):
-            s = kway_move_gain(H, pi, sizes, v, a, b, "soed")
-            c1 = kway_move_gain(H, pi, sizes, v, a, b, "con1")
-            cn = kway_move_gain(H, pi, sizes, v, a, b, "cnet")
-            assert s == c1 + cn
-
-    def test_gain_matches_brute_force(self, grid_h):
-        rng = np.random.default_rng(0)
-        k = 4
-        part = rng.integers(0, k, grid_h.n_vertices)
-        pi = _pin_counts(grid_h, part, k)
-        sizes = grid_h.net_sizes()
-        for metric in ("con1", "cnet", "soed"):
-            base = cutsize(grid_h, part, k, metric)
-            for v in range(0, grid_h.n_vertices, 37):
-                a = int(part[v])
-                b = (a + 1) % k
-                g = kway_move_gain(grid_h, pi, sizes, v, a, b, metric)
-                p2 = part.copy()
-                p2[v] = b
-                assert g == base - cutsize(grid_h, p2, k, metric), \
-                    f"{metric} gain mismatch at v={v}"
-
-
-class TestKWayRefine:
-    def test_improves_random_partition(self, grid_h):
-        rng = np.random.default_rng(1)
-        part = rng.integers(0, 4, grid_h.n_vertices)
-        before = cutsize(grid_h, part, 4, "con1")
-        out = kway_refine(grid_h, part, 4, metric="con1", epsilon=0.5)
-        after = cutsize(grid_h, out, 4, "con1")
-        assert after < before
-
-    @pytest.mark.parametrize("metric", ["con1", "cnet", "soed"])
-    def test_never_worse_any_metric(self, grid_h, metric):
-        rng = np.random.default_rng(2)
-        part = rng.integers(0, 4, grid_h.n_vertices)
-        before = cutsize(grid_h, part, 4, metric)
-        out = kway_refine(grid_h, part, 4, metric=metric, epsilon=0.5)
-        assert cutsize(grid_h, out, 4, metric) <= before
-
-    def test_balance_respected(self, grid_h):
-        rng = np.random.default_rng(3)
-        part = rng.integers(0, 4, grid_h.n_vertices)
-        eps = 0.10
-        out = kway_refine(grid_h, part, 4, epsilon=eps)
-        # moves must not push any part beyond the cap (input may already
-        # violate it; refined imbalance can only be <= max(input, cap))
-        assert imbalance(grid_h, out, 4)[0] <= \
-            max(imbalance(grid_h, part, 4)[0], eps) + 1e-9
-
-    def test_input_unchanged(self, grid_h):
-        rng = np.random.default_rng(4)
-        part = rng.integers(0, 4, grid_h.n_vertices)
-        snap = part.copy()
-        kway_refine(grid_h, part, 4)
-        np.testing.assert_array_equal(part, snap)
-
-    def test_perfect_partition_stable(self):
-        # two disjoint cliques already split perfectly: no move helps
-        H = Hypergraph.from_arrays([0, 3, 6], [0, 1, 2, 3, 4, 5], 6)
-        part = np.array([0, 0, 0, 1, 1, 1])
-        out = kway_refine(H, part, 2)
-        assert cutsize(H, out, 2, "con1") == 0
+    def test_deterministic(self):
+        a = _unit_rhb(M_GRID, 4, seed=5)
+        b = _unit_rhb(M_GRID, 4, seed=5)
+        np.testing.assert_array_equal(a.row_part, b.row_part)

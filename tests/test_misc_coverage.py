@@ -1,15 +1,12 @@
-"""Additional coverage: CLI paths, coarsening edge cases,
-multi-constraint k-way refinement, report round-trips."""
+"""Additional coverage: CLI paths, coarsening edge cases, report
+round-trips."""
 
 import numpy as np
-from tests.conftest import grid_laplacian
 
 from repro.hypergraph import (
     Hypergraph,
     contract_hypergraph,
-    cutsize,
     heavy_connectivity_matching,
-    kway_refine,
 )
 
 
@@ -41,15 +38,15 @@ class TestCoarsenEdgeCases:
         H = Hypergraph.from_arrays([0], [], 3)
         match = heavy_connectivity_matching(H, seed=0)
         level = contract_hypergraph(H, match)
-        assert level.hypergraph.n_nets == 0
-        assert level.hypergraph.n_vertices <= 3
+        assert level.coarse.n_nets == 0
+        assert level.coarse.n_vertices <= 3
 
     def test_single_net_hypergraph(self):
         H = Hypergraph.from_arrays([0, 4], [0, 1, 2, 3], 4)
         match = heavy_connectivity_matching(H, seed=0)
         level = contract_hypergraph(H, match)
         # the lone net either survives (>1 coarse pin) or vanishes
-        assert level.hypergraph.n_nets <= 1
+        assert level.coarse.n_nets <= 1
 
     def test_identical_nets_merge_costs(self):
         # two identical nets must merge with summed cost after contraction
@@ -57,23 +54,8 @@ class TestCoarsenEdgeCases:
                                    net_costs=np.array([3, 4]))
         match = np.array([0, 1])  # no matching: identity contraction
         level = contract_hypergraph(H, match)
-        assert level.hypergraph.n_nets == 1
-        assert int(level.hypergraph.net_costs[0]) == 7
-
-
-class TestKWayMultiConstraint:
-    def test_refine_with_two_constraints(self):
-        A = grid_laplacian(12, 12)
-        H0 = Hypergraph.column_net_model(A)
-        rng = np.random.default_rng(0)
-        w = np.stack([np.ones(144, dtype=np.int64),
-                      rng.integers(1, 4, 144)], axis=1)
-        H = Hypergraph.from_arrays(H0.net_ptr, H0.pins, 144,
-                                   vertex_weights=w)
-        part = rng.integers(0, 3, 144)
-        before = cutsize(H, part, 3, "con1")
-        out = kway_refine(H, part, 3, epsilon=0.5)
-        assert cutsize(H, out, 3, "con1") <= before
+        assert level.coarse.n_nets == 1
+        assert int(level.coarse.net_costs[0]) == 7
 
 
 class TestGMRESHistory:

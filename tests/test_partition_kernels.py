@@ -144,7 +144,7 @@ def split_reference(H, side, metric):
 def _assert_contract_matches(H, match):
     level = contract_hypergraph(H, match)
     ptr, pins, cvw, costs, nids, f2c = contract_reference(H, match)
-    C = level.hypergraph
+    C = level.coarse
     assert level.fine_to_coarse.tolist() == f2c
     assert C.net_ptr.tolist() == list(ptr)
     assert C.pins.tolist() == pins
@@ -382,7 +382,7 @@ class _RecordingPool(Executor):
 
 
 def _hypergraphs(task):
-    return [task.H] + [lv.hypergraph for lv in task.levels]
+    return [task.fine] + [lv.coarse for lv in task.levels]
 
 
 def _bisect(backend):

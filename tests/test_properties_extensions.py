@@ -1,5 +1,5 @@
-"""Property-based tests for the extension modules (k-way gains,
-relaxed supernodes, separator trimming)."""
+"""Property-based tests for the extension modules (relaxed
+supernodes, separator trimming)."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -8,47 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import build_dbbd, trim_separator
 from repro.graphs import nested_dissection_partition
-from repro.hypergraph import Hypergraph, cutsize, kway_move_gain
-from repro.hypergraph.kway import _pin_counts
 from repro.lu import SupernodalLower, factorize, relaxed_supernodes
-
-
-@st.composite
-def hypergraph_partition_k(draw):
-    n_v = draw(st.integers(3, 16))
-    n_n = draw(st.integers(1, 10))
-    k = draw(st.integers(2, 4))
-    seed = draw(st.integers(0, 2**31 - 1))
-    rng = np.random.default_rng(seed)
-    ptr = [0]
-    pins: list[int] = []
-    for _ in range(n_n):
-        sz = int(rng.integers(1, min(n_v, 5) + 1))
-        pins.extend(rng.choice(n_v, size=sz, replace=False).tolist())
-        ptr.append(len(pins))
-    H = Hypergraph.from_arrays(ptr, pins, n_v)
-    part = rng.integers(0, k, n_v)
-    v = int(rng.integers(n_v))
-    b = int(rng.integers(k))
-    return H, part, k, v, b
-
-
-class TestKWayGainProperty:
-    @given(hypergraph_partition_k())
-    @settings(max_examples=120, deadline=None)
-    def test_gain_equals_cut_delta(self, data):
-        H, part, k, v, b = data
-        a = int(part[v])
-        if a == b:
-            return
-        pi = _pin_counts(H, part, k)
-        sizes = H.net_sizes()
-        for metric in ("con1", "cnet", "soed"):
-            g = kway_move_gain(H, pi, sizes, v, a, b, metric)
-            p2 = part.copy()
-            p2[v] = b
-            assert g == cutsize(H, part, k, metric) - \
-                cutsize(H, p2, k, metric)
 
 
 @st.composite

@@ -23,7 +23,7 @@ from repro.service import (
     session_key,
 )
 from repro.service.cache import make_session, session_nbytes
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 
 
 def _cfg():
@@ -248,16 +248,20 @@ class TestLifecycle:
         assert svc.cache.snapshot()["sessions"] == 0
 
     def test_process_backend_no_orphans_after_close(self, hot):
+        # an ambient REPRO_BACKEND pool outlives this test by design:
+        # only workers started after the service was built count
+        before = set(multiprocessing.active_children())
         svc = SolverService(config=_cfg(), backend="process:2",
                             batch_window_s=0.01)
         try:
             b = _rhs(hot)
             served = svc.solve(hot, b)
-            fresh = PDSLin(hot, _cfg()).solve(b)   # serial reference
+            fresh = PDSLin(hot, _cfg(), runtime=RuntimeOptions(
+                backend="serial")).solve(b)
             assert served.x.tobytes() == fresh.x.tobytes()
         finally:
             svc.close()
-        assert multiprocessing.active_children() == []
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_caller_owned_backend_not_closed(self, hot):
         from repro.parallel.exec import get_backend

@@ -116,8 +116,11 @@ class TestNoSlicingInWarmSolves:
         return calls
 
     def _warm(self, abft_mode):
+        # serial whatever REPRO_BACKEND says: a pooled solve_block ships
+        # each subdomain's permuted D per task, and deriving it slices
         A = generate("tdr190k", "tiny").A.tocsr()
-        solver = PDSLin(A, PDSLinConfig(k=8, seed=0, abft=abft_mode))
+        solver = PDSLin(A, PDSLinConfig(k=8, seed=0, abft=abft_mode),
+                        runtime=RuntimeOptions(backend="serial"))
         solver.setup()
         solver.solve(_rhs(A))
         return A, solver
@@ -168,14 +171,17 @@ class TestInvalidation:
         A = generate("tdr190k", "tiny").A.tocsr()
         b = _rhs(A)
         cfg = dict(k=4, seed=0, abft="detect+recover", condest=False)
-        ref = PDSLin(A, PDSLinConfig(**cfg)).solve(b)
+        # serial: an ambient pool forked before the seam is armed below
+        # would never flip a bit (the process leg is repro.smoke bitflip's)
+        serial = RuntimeOptions(backend="serial")
+        ref = PDSLin(A, PDSLinConfig(**cfg), runtime=serial).solve(b)
         monkeypatch.setenv(abft.ENV_BITFLIP_TARGET, "lu")
         monkeypatch.setenv(abft.ENV_BITFLIP_SEED, "9")
         monkeypatch.setenv(abft.ENV_BITFLIP_SUBDOMAIN, "1")
         abft.reset_bitflip_state()
         tr = Tracer()
         solver = PDSLin(A, PDSLinConfig(**cfg),
-                        runtime=RuntimeOptions(tracer=tr))
+                        runtime=RuntimeOptions(tracer=tr, backend="serial"))
         try:
             res = solver.solve(b)
         finally:

@@ -67,14 +67,6 @@ class TestBiCGSTAB:
         with pytest.raises(ValueError):
             PDSLinConfig(krylov="chebyshev")
 
-    def test_pdslin_with_fgmres(self, rng):
-        A = grid_laplacian(12, 12)
-        b = rng.standard_normal(A.shape[0])
-        cfg = PDSLinConfig(k=2, krylov="fgmres", seed=0,
-                           drop_interface=1e-3, drop_schur=1e-4)
-        res = PDSLin(A, cfg).solve(b)
-        assert res.converged and res.residual_norm < 1e-7
-
 
 class TestTrimSeparator:
     def test_never_grows_separator(self, grid16):

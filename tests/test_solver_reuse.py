@@ -11,7 +11,7 @@ from tests.conftest import (
 )
 
 from repro.matrices import generate
-from repro.solver import PDSLin, PDSLinConfig
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
 
 
 @pytest.fixture
@@ -96,7 +96,11 @@ class TestWarmSolvesRetainNothing:
 
     def test_solve_and_solve_block_leave_the_machine_as_it_was(self, rng):
         A = generate("tdr190k", "tiny").A.tocsr()
-        solver = PDSLin(A, PDSLinConfig(k=4, seed=0))
+        # serial whatever REPRO_BACKEND says: the machine under test is
+        # the same on every backend, while a pool's transport buffers
+        # (queue feeder pickles, unsealed results) would be counted too
+        solver = PDSLin(A, PDSLinConfig(k=4, seed=0),
+                        runtime=RuntimeOptions(backend="serial"))
         solver.setup()
         b = rng.standard_normal(A.shape[0])
         B = rng.standard_normal((A.shape[0], 8))

@@ -1,5 +1,5 @@
 """Further behavioural tests: trimming interacts correctly with RHB's
-cut-net separators; the standalone partitioner matches the flat metric
+cut-net separators; the unit-weight RHB cut matches the flat metric
 definitions; and DBBD round-trips through permutation."""
 
 import numpy as np
@@ -8,11 +8,7 @@ from tests.conftest import grid_laplacian
 
 from repro.core import build_dbbd, rhb_partition, trim_separator
 from repro.core.dbbd import SEPARATOR
-from repro.hypergraph import (
-    Hypergraph,
-    net_connectivities,
-    partition_hypergraph,
-)
+from repro.hypergraph import Hypergraph, net_connectivities
 
 
 class TestTrimWithRHBMetrics:
@@ -45,11 +41,13 @@ class TestConnectivityDetails:
         assert lam[0] == 0 and lam[1] == 1
 
     def test_partitioner_cut_matches_manual_sum(self):
-        H = Hypergraph.column_net_model(grid_laplacian(12, 12))
-        res = partition_hypergraph(H, 4, metric="soed", seed=1)
-        lam = net_connectivities(H, res.part, 4)
+        M = grid_laplacian(12, 12)
+        H = Hypergraph.column_net_model(M)
+        res = rhb_partition((M.T @ M).tocsr(), 4, M=M, metric="soed",
+                            scheme="unit", seed=1)
+        lam = net_connectivities(H, res.row_part, 4)
         manual = int(lam[lam > 1].sum())
-        assert res.cut == manual
+        assert res.total_cut_cost == manual
 
 
 class TestDBBDPermutationRoundTrip:

@@ -62,7 +62,6 @@ from repro.core.dbbd import build_dbbd
 from repro.core.rhb import rhb_partition
 from repro.core.rhs_reorder import hypergraph_column_order
 from repro.graphs import (
-    CoarseLevel,
     Graph,
     compute_gains,
     contract,
@@ -72,7 +71,6 @@ from repro.graphs import (
 )
 from repro.hypergraph import (
     BisectionSplit,
-    HCoarseLevel,
     Hypergraph,
     contract_hypergraph,
     fm_refine_hypergraph,
@@ -112,6 +110,7 @@ from repro.solver.partasks import (
 )
 from repro.sparse import symmetrized
 from repro.sparse.structural import edge_incidence_factor
+from repro.utils.multilevel import Level
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / \
     "tests" / "data" / "symbolic_golden.json"
@@ -151,10 +150,8 @@ def _feed(h, obj) -> None:
     elif isinstance(obj, Graph):
         _feed(h, (obj.indptr, obj.indices, obj.edge_weights,
                   obj.vertex_weights))
-    elif isinstance(obj, HCoarseLevel):
-        _feed(h, (obj.hypergraph, obj.fine_to_coarse))
-    elif isinstance(obj, CoarseLevel):
-        _feed(h, (obj.graph, obj.fine_to_coarse))
+    elif isinstance(obj, Level):
+        _feed(h, (obj.coarse, obj.fine_to_coarse))
     elif isinstance(obj, BisectionSplit):
         _feed(h, (obj.children, obj.vertex_ids, obj.cut_net_ids,
                   obj.cut_cost))
@@ -522,7 +519,7 @@ def solve_rows(name: str) -> list[list[str]]:
                                 None if acc is None else acc.refine_steps)])
 
     for numerics in (True, False):
-        for krylov in ("gmres", "fgmres", "bicgstab"):
+        for krylov in ("gmres", "bicgstab"):
             for mode in ("off", "detect+recover"):
                 cfg = PDSLinConfig(k=4, numerics=numerics, krylov=krylov,
                                    abft=mode)
@@ -886,7 +883,7 @@ def partition_kernel_rows(name: str) -> list[list[str]]:
             match = rows.call(f"{tag}:matching", heavy_connectivity_matching,
                               H, lvl, max_weight=max_cw)
             coarse = rows.call(f"{tag}:contract", contract_hypergraph, H,
-                               match).hypergraph
+                               match).coarse
             if coarse.n_vertices <= 48 or \
                     coarse.n_vertices >= 0.95 * H.n_vertices:
                 break
@@ -905,7 +902,7 @@ def partition_kernel_rows(name: str) -> list[list[str]]:
                       max_part_weight=(0.505 * total, 0.505 * total))
             match = rows.call(f"{tag}:matching", heavy_edge_matching, g, lvl,
                               max_weight=max(1, total // 16))
-            coarse = rows.call(f"{tag}:contract", contract, g, match).graph
+            coarse = rows.call(f"{tag}:contract", contract, g, match).coarse
             if coarse.n_vertices <= 48 or \
                     coarse.n_vertices >= 0.95 * g.n_vertices:
                 break
