@@ -1,9 +1,8 @@
 """Bench: batched multi-RHS throughput (solve_block vs per-column).
 
-Measures the smoke matrix at nrhs=16 through three paths — the old
-per-column loop (one full ``solve()`` per column, what ``solve_multiple``
-used to do), the batched ``solve_block`` with column-to-column Krylov
-seeding (the default), and ``solve_block`` with ``block_gmres=True`` —
+Measures the smoke matrix at nrhs=16 through three paths — the
+per-column loop (one full ``solve()`` per column), the batched
+``solve_block`` with column-to-column Krylov seeding (the default), and ``solve_block`` with ``block_gmres=True`` —
 and reports RHS/s against the block size (the ``nrhs=1`` row compares
 ``solve(b)`` with ``solve_block(b[:, None])``, one code path since
 ``solve`` became its one-column case: a dispatch-overhead check that

@@ -34,7 +34,7 @@ from repro.hypergraph import (
     initial_net_costs,
     split_by_side,
 )
-from repro.hypergraph.metrics import CutMetric
+from repro.hypergraph.metrics import CutMetric, check_metric
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sparse.patterns import row_nnz
 from repro.sparse.structural import edge_incidence_factor
@@ -165,6 +165,7 @@ def rhb_partition(A: sp.spmatrix, k: int, *,
     """
     k = positive_int(k, "k")
     epsilon = fraction(epsilon, "epsilon")
+    check_metric(metric)
     A = check_csr(A)
     if not is_structurally_symmetric(A):
         A = symmetrized(A)

@@ -14,12 +14,19 @@ import numpy as np
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.utils import check_partition_vector
 
-__all__ = ["CutMetric", "net_connectivities", "cutsize", "imbalance",
-           "part_weights"]
+__all__ = ["CutMetric", "check_metric", "net_connectivities", "cutsize",
+           "imbalance", "part_weights"]
 
 CutMetric = Literal["con1", "cnet", "soed"]
 
 _VALID_METRICS = ("con1", "cnet", "soed")
+
+
+def check_metric(metric: str) -> None:
+    """Raise ``ValueError`` unless ``metric`` names a :data:`CutMetric`."""
+    if metric not in _VALID_METRICS:
+        raise ValueError(f"metric must be one of {_VALID_METRICS}, "
+                         f"got {metric!r}")
 
 
 def net_connectivities(H: Hypergraph, part: np.ndarray, k: int) -> np.ndarray:
@@ -58,8 +65,7 @@ def cutsize(H: Hypergraph, part: np.ndarray, k: int,
     (including the soed = con1 + cnet identity) and raises
     :class:`repro.verify.VerificationError` on disagreement.
     """
-    if metric not in _VALID_METRICS:
-        raise ValueError(f"metric must be one of {_VALID_METRICS}, got {metric!r}")
+    check_metric(metric)
     lam = net_connectivities(H, part, k)
     c = H.net_costs
     if metric == "con1":

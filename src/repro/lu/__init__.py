@@ -10,11 +10,7 @@ from repro.lu.numeric import (
     factorize,
     lu_flop_count,
 )
-from repro.lu.supernodes import (
-    SupernodalLower,
-    detect_supernodes,
-    relaxed_supernodes,
-)
+from repro.lu.supernodes import SupernodalLower, detect_supernodes
 from repro.lu.symbolic import (
     factor_etree,
     reach,
@@ -33,7 +29,7 @@ __all__ = [
     "reach", "toposorted_reach", "solution_pattern", "factor_etree",
     "LUFactors", "GilbertPeierlsLU", "factorize", "lu_flop_count",
     "attach_handle", "SymbolicCache", "pattern_fingerprint",
-    "detect_supernodes", "relaxed_supernodes", "SupernodalLower",
+    "detect_supernodes", "SupernodalLower",
     "PaddingStats", "BlockedSolveResult", "partition_columns",
     "blocked_triangular_solve", "padded_zeros",
 ]

@@ -18,60 +18,7 @@ import scipy.sparse as sp
 
 from repro.utils import OpCounter, check_csc
 
-__all__ = ["detect_supernodes", "relaxed_supernodes", "SupernodalLower"]
-
-
-def _check_ranges(snodes: list[tuple[int, int]], n: int) -> None:
-    prev = 0
-    for c0, c1 in snodes:
-        if c0 != prev or c1 <= c0:
-            raise ValueError(f"supernode ranges must tile [0, {n}); "
-                             f"got ({c0}, {c1}) after {prev}")
-        prev = c1
-    if prev != n:
-        raise ValueError(f"supernode ranges must end at {n}, got {prev}")
-
-
-def relaxed_supernodes(L: sp.spmatrix, *, max_size: int = 64,
-                       relax: float = 0.2) -> list[tuple[int, int]]:
-    """Amalgamated supernode ranges (relaxed supernodes).
-
-    Starting from the strict supernodes, greedily merge consecutive
-    ranges while the fraction of explicit zeros the merged dense block
-    would store stays at most ``relax``. Fewer, larger blocks mean fewer
-    dense-kernel invocations per solve at the cost of padded numeric
-    work — the intra-factor analogue of the RHS padding trade-off.
-    """
-    L = check_csc(L)
-    if not (0.0 <= relax < 1.0):
-        raise ValueError("relax must be in [0, 1)")
-    strict = detect_supernodes(L, max_size=max_size)
-    col_nnz = np.diff(L.indptr)
-
-    def entries(c0: int, c1: int) -> int:
-        return int(col_nnz[c0:c1].sum())
-
-    def block_cells(c0: int, c1: int) -> int:
-        """Dense cells of the merged block: triangle + union-below rows."""
-        w = c1 - c0
-        rows = np.unique(L.indices[L.indptr[c0]:L.indptr[c1]])
-        nbelow = int((rows >= c1).sum())
-        return w * (w + 1) // 2 + nbelow * w
-
-    merged: list[tuple[int, int]] = []
-    cur0, cur1 = strict[0] if strict else (0, 0)
-    for c0, c1 in strict[1:]:
-        if c1 - cur0 <= max_size:
-            cells = block_cells(cur0, c1)
-            stored = entries(cur0, c1)
-            if cells > 0 and (cells - stored) / cells <= relax:
-                cur1 = c1
-                continue
-        merged.append((cur0, cur1))
-        cur0, cur1 = c0, c1
-    if cur1 > cur0:
-        merged.append((cur0, cur1))
-    return merged
+__all__ = ["detect_supernodes", "SupernodalLower"]
 
 
 def detect_supernodes(L: sp.spmatrix, *, max_size: int = 64) -> list[tuple[int, int]]:
@@ -130,23 +77,12 @@ class SupernodalLower:
 
     @classmethod
     def from_csc(cls, L: sp.spmatrix, *, unit_diagonal: bool,
-                 max_supernode: int = 64,
-                 snodes: list[tuple[int, int]] | None = None
-                 ) -> "SupernodalLower":
-        """Repack a lower-triangular CSC matrix into supernodal blocks.
-
-        ``snodes`` overrides detection — pass ranges from
-        :func:`relaxed_supernodes` to amalgamate; columns inside a range
-        may then have *subsets* of the union row pattern, and the
-        missing entries are stored as explicit zeros (structural
-        padding, traded for fewer/larger dense kernels).
-        """
+                 max_supernode: int = 64) -> "SupernodalLower":
+        """Repack a lower-triangular CSC matrix into its strict
+        supernodal blocks."""
         L = check_csc(L)
         n = L.shape[0]
-        if snodes is None:
-            snodes = detect_supernodes(L, max_size=max_supernode)
-        else:
-            _check_ranges(snodes, n)
+        snodes = detect_supernodes(L, max_size=max_supernode)
         indptr, indices, data = L.indptr, L.indices, L.data
         count = np.diff(indptr)
         stored = np.flatnonzero(count)

@@ -30,6 +30,13 @@ from repro.utils import check_csr
 
 __all__ = ["SystemTransform", "prepare_system", "retarget_system"]
 
+#: Ruiz sweep budget and stopping tolerance (max deviation of the row
+#: and column inf-norms from 1).
+EQUILIBRATE_ITERS = 20
+EQUILIBRATE_TOL = 1e-2
+#: Matching engages only when some scaled ``|a_ii|`` falls below this.
+MATCHING_THRESHOLD = 1e-3
+
 
 @dataclass
 class SystemTransform:
@@ -94,9 +101,7 @@ class SystemTransform:
 
 
 def prepare_system(A: sp.spmatrix, *, equilibrate: bool = True,
-                   matching: bool = True, equilibrate_iters: int = 20,
-                   equilibrate_tol: float = 1e-2,
-                   matching_threshold: float = 1e-3,
+                   matching: bool = True,
                    tracer: Tracer = NULL_TRACER) -> SystemTransform:
     """Build the working system for ``A`` (see module docstring).
 
@@ -112,7 +117,7 @@ def prepare_system(A: sp.spmatrix, *, equilibrate: bool = True,
     pivots, but on near-symmetric matrices with an adequate diagonal it
     destroys structure the dropped Schur preconditioner relies on. The
     permutation is therefore only computed and applied when some scaled
-    ``|a_ii| < matching_threshold`` (a structurally zero diagonal
+    ``|a_ii| <`` :data:`MATCHING_THRESHOLD` (a structurally zero diagonal
     always qualifies).
     """
     A = check_csr(A)
@@ -125,8 +130,8 @@ def prepare_system(A: sp.spmatrix, *, equilibrate: bool = True,
     A_work = A
     if equilibrate:
         with tracer.span("equilibrate"):
-            eq = ruiz_equilibrate(A, max_iters=equilibrate_iters,
-                                  tol=equilibrate_tol)
+            eq = ruiz_equilibrate(A, max_iters=EQUILIBRATE_ITERS,
+                                  tol=EQUILIBRATE_TOL)
             A_work = eq.A_scaled
             row_scale = eq.row_scale
             col_scale = eq.col_scale
@@ -134,7 +139,7 @@ def prepare_system(A: sp.spmatrix, *, equilibrate: bool = True,
     if matching:
         with tracer.span("matching"):
             d = np.abs(A_work.diagonal())
-            if n > 0 and float(d.min()) >= matching_threshold:
+            if n > 0 and float(d.min()) >= MATCHING_THRESHOLD:
                 tracer.count("matching_skipped")
             else:
                 mt = maximum_product_matching(A_work)
@@ -149,9 +154,8 @@ def prepare_system(A: sp.spmatrix, *, equilibrate: bool = True,
                            equilibration=eq, matching=mt)
 
 
-def retarget_system(prep: SystemTransform, A_new: sp.spmatrix, *,
-                    equilibrate_iters: int = 20,
-                    equilibrate_tol: float = 1e-2) -> SystemTransform:
+def retarget_system(prep: SystemTransform,
+                    A_new: sp.spmatrix) -> SystemTransform:
     """Rebuild a transform for *fresh values on the same pattern* (the
     ``update_matrix`` path): the matching row permutation is reused —
     the DBBD partition was computed on the permuted matrix and must not
@@ -164,8 +168,8 @@ def retarget_system(prep: SystemTransform, A_new: sp.spmatrix, *,
     eq: EquilibrationResult | None = None
     A_work = A_new
     if prep.equilibration is not None:
-        eq = ruiz_equilibrate(A_new, max_iters=equilibrate_iters,
-                              tol=equilibrate_tol)
+        eq = ruiz_equilibrate(A_new, max_iters=EQUILIBRATE_ITERS,
+                              tol=EQUILIBRATE_TOL)
         A_work = eq.A_scaled
         row_scale = eq.row_scale
         col_scale = eq.col_scale

@@ -50,7 +50,6 @@ from repro.resilience.errors import (
     InjectedFault,
     KrylovBreakdownError,
     RefinementStallError,
-    SchurFactorizationError,
     SdcDetectedError,
     SingularSubdomainError,
     SolverError,
@@ -69,7 +68,7 @@ from repro.resilience.report import (
 from repro.resilience.retry import RetryPolicy, run_with_retry
 
 __all__ = [
-    "SolverError", "SingularSubdomainError", "SchurFactorizationError",
+    "SolverError", "SingularSubdomainError",
     "KrylovBreakdownError", "RefinementStallError", "InjectedFault",
     "WorkerCrashError", "TaskDeadlineError", "CheckpointError",
     "SdcDetectedError", "TransportChecksumError",

@@ -21,7 +21,6 @@ from __future__ import annotations
 __all__ = [
     "SolverError",
     "SingularSubdomainError",
-    "SchurFactorizationError",
     "KrylovBreakdownError",
     "RefinementStallError",
     "InjectedFault",
@@ -92,32 +91,16 @@ class SingularSubdomainError(SolverError):
         self.pivot = pivot
 
 
-class SchurFactorizationError(SolverError):
-    """Factorization of the approximate Schur complement broke down.
-
-    ``method`` records which factorization was attempted
-    (``"lu"`` or ``"ilu"``).
-    """
-
-    def __init__(self, message: str, *, method: str = "lu",
-                 stage: str = "LU(S)"):
-        super().__init__(message, stage=stage)
-        self.method = method
-
-
 class KrylovBreakdownError(SolverError):
-    """A Krylov method broke down or failed to converge on the Schur
-    system.
+    """GMRES stagnated or failed to converge on the Schur system.
 
-    ``method`` is ``"gmres"`` or ``"bicgstab"``; ``iterations`` how far
-    it got. Used both as a raised error and as the recorded cause of a
-    krylov-fallback recovery event.
+    ``iterations`` is how far it got. Recorded as the cause of the
+    precond-refresh recovery event.
     """
 
-    def __init__(self, message: str, *, method: str = "gmres",
-                 iterations: int = 0, stage: str = "Solve"):
+    def __init__(self, message: str, *, iterations: int = 0,
+                 stage: str = "Solve"):
         super().__init__(message, stage=stage)
-        self.method = method
         self.iterations = iterations
 
 

@@ -5,8 +5,7 @@ Every recovery action in the pipeline records a :class:`RecoveryEvent`
 on the solver's :class:`RecoveryReport`; the report rides on
 :class:`repro.solver.PDSLinResult` so a solve that survived only
 through degradation (static pivot perturbation, failover to the root
-process, a weakened-then-refreshed preconditioner, a Krylov-method
-switch) says so instead of pretending nothing happened.
+process, a refreshed preconditioner) says so instead of pretending nothing happened.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ __all__ = ["RecoveryEvent", "RecoveryReport", "DEGRADING_ACTIONS",
 
 # Actions after which the solve no longer reflects the requested
 # configuration at full health: perturbed factors, lost processes,
-# rebuilt preconditioners, switched Krylov methods, refinement that
-# gave up before certifying the answer, detected-but-unrepaired
-# silent data corruption.
+# rebuilt preconditioners, refinement that gave up before certifying
+# the answer, detected-but-unrepaired silent data corruption.
 DEGRADING_ACTIONS = frozenset({
     "static-pivot", "failover-root", "deadline-failover",
-    "precond-refresh", "krylov-fallback", "refine-stall",
+    "precond-refresh", "refine-stall",
     "sdc-unrecoverable",
 })
 
@@ -34,9 +32,8 @@ class RecoveryEvent:
     """One recovery action: where it happened, what failed, what was done.
 
     ``action`` is a short verb tag: ``"retry"``, ``"full-pivot"``,
-    ``"static-pivot"``, ``"failover-root"``, ``"ilu-to-lu"``,
-    ``"precond-refresh"``, ``"krylov-fallback"``. ``error`` is the name
-    of the exception class that triggered it.
+    ``"static-pivot"``, ``"failover-root"``, ``"precond-refresh"``.
+    ``error`` is the name of the exception class that triggered it.
     """
 
     stage: str
@@ -63,7 +60,8 @@ class RecoveryReport:
     :class:`repro.solver.PDSLin` instance. ``degraded`` flips true the
     first time an action in :data:`DEGRADING_ACTIONS` runs;
     ``preconditioner_mode`` tracks the *final* Schur preconditioner in
-    effect (e.g. ``"ilu"`` -> ``"lu(from-ilu)"`` after a fallback).
+    effect (``"lu"``, or ``"lu(refreshed, drop_schur=0)"`` after a
+    refresh).
     """
 
     events: List[RecoveryEvent] = field(default_factory=list)

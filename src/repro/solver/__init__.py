@@ -1,6 +1,5 @@
 """Hybrid solver layer: GMRES, Schur assembly, and the PDSLin pipeline."""
 
-from repro.solver.bicgstab import BiCGSTABResult, bicgstab
 from repro.solver.gmres import GMRESResult, gmres
 from repro.solver.interfaces import SubdomainInterfaces, extract_interfaces
 from repro.solver.pdslin import (
@@ -21,7 +20,6 @@ from repro.solver.schur import (
 
 __all__ = [
     "GMRESResult", "gmres",
-    "BiCGSTABResult", "bicgstab",
     "SubdomainInterfaces", "extract_interfaces",
     "assemble_approximate_schur", "drop_small_entries", "implicit_schur_matvec",
     "PDSLinConfig", "PDSLin", "PDSLinResult", "BlockResult",

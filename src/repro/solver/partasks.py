@@ -94,6 +94,10 @@ ENV_STRAGGLE_SUBDOMAIN = "REPRO_CHAOS_STRAGGLE_SUBDOMAIN"
 #: Straggler sleep in seconds (default 0.25).
 ENV_STRAGGLE_S = "REPRO_CHAOS_STRAGGLE_S"
 
+#: First-rung pivot threshold of every subdomain LU: 0.0 is the paper's
+#: diagonal-pivoting mode, which keeps the fill-reducing ordering.
+SUBDOMAIN_PIVOT_THRESH = 0.0
+
 
 def _env_subdomain(name: str) -> Optional[int]:
     """A chaos env var holding a subdomain index, validated through the
@@ -266,7 +270,7 @@ def factorize_subdomain(Dp, cfg, *, stage: str, ell: int,
     audits (LU(D) here, the solve-phase sweep in the solver). Returns
     ``(factors, handle_thresh)``."""
     factors, handle_thresh = factorize_resilient(
-        Dp, diag_pivot_thresh=cfg.diag_pivot_thresh, stage=stage,
+        Dp, diag_pivot_thresh=SUBDOMAIN_PIVOT_THRESH, stage=stage,
         subdomain=ell, report=report, tracer=tracer)
     if abft.abft_detect(cfg.abft):
         abft.attach_factor_checksums(factors, Dp)
@@ -329,17 +333,6 @@ def _column_order(cfg, E_rows_factored: sp.csr_matrix,
     return res.order
 
 
-def _repack(cfg, L_like: sp.csc_matrix, *,
-            unit_diagonal: bool) -> SupernodalLower:
-    """Supernodal repack, optionally amalgamated."""
-    snodes = None
-    if cfg.supernode_relax > 0.0:
-        from repro.lu import relaxed_supernodes
-        snodes = relaxed_supernodes(L_like, relax=cfg.supernode_relax)
-    return SupernodalLower.from_csc(L_like, unit_diagonal=unit_diagonal,
-                                    snodes=snodes)
-
-
 def _solve_interface(cfg, snl: SupernodalLower, B_sparse: sp.csr_matrix,
                      L_like: sp.csc_matrix, drop_tol: float,
                      tracer: Tracer):
@@ -364,14 +357,14 @@ def run_subdomain_comp(sub: SubdomainInterfaces, cfg, lu: SubdomainLU, *,
     with tracer.span("interface_solve", l=lu.ell):
         # G = L^{-1} P E^
         Epp = factors.permute_rows(sub.E_hat[perm].tocsr())
-        snl_L = _repack(cfg, factors.L, unit_diagonal=True)
+        snl_L = SupernodalLower.from_csc(factors.L, unit_diagonal=True)
         G_tilde, pad_G = _solve_interface(cfg, snl_L, Epp, factors.L,
                                           drop_tol, tracer)
         verifier.after_interface_solve(factors.L, Epp, G_tilde, drop_tol)
         # W^T = U^{-T} (F^ P~)^T ; U^T is lower triangular, non-unit
         Fc = sub.F_hat[:, perm].tocsr()[:, factors.perm_c].tocsr()
         UT = factors.U.T.tocsc()
-        snl_U = _repack(cfg, UT, unit_diagonal=False)
+        snl_U = SupernodalLower.from_csc(UT, unit_diagonal=False)
         WT_tilde, pad_W = _solve_interface(cfg, snl_U, Fc.T.tocsr(), UT,
                                            drop_tol, tracer)
         verifier.after_interface_solve(UT, Fc.T.tocsr(), WT_tilde, drop_tol)

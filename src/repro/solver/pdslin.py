@@ -31,9 +31,9 @@ import scipy.sparse as sp
 
 from repro.core import build_dbbd, rhb_partition
 from repro.core.dbbd import DBBDPartition
-from repro.core.weights import WeightScheme
+from repro.core.weights import VALID_SCHEMES, WeightScheme
 from repro.graphs import nested_dissection_partition
-from repro.hypergraph.metrics import CutMetric
+from repro.hypergraph.metrics import CutMetric, check_metric
 from repro.lu import (
     LUFactors,
     PaddingStats,
@@ -62,7 +62,6 @@ from repro.resilience import (
     RecoveryReport,
     RefinementStallError,
     RetryPolicy,
-    SchurFactorizationError,
     SdcDetectedError,
     TransportChecksumError,
     WorkerCrashError,
@@ -108,6 +107,7 @@ from repro.utils import (
     check_csr,
     check_finite,
     check_square,
+    fraction,
     positive_int,
 )
 
@@ -131,26 +131,18 @@ class PDSLinConfig:
     block_size: int = 60                # paper's default B
     rhs_ordering: str = "postorder"
     quasi_dense_tau: Optional[float] = 0.4
-    krylov: str = "gmres"               # "gmres" | "bicgstab"
-    schur_factorization: str = "lu"     # "lu" | "ilu" (spilu on S~)
     gmres_tol: float = 1e-10
     gmres_restart: int = 100
     gmres_maxiter: int = 1000
     seed: SeedLike = 0
-    diag_pivot_thresh: float = 0.0
     partition_trials: int = 2
     trim_separator: bool = False        # post-hoc separator trimming pass
     subdomain_ordering: str = "md"      # "md" | "nd" | "rcm"
-    supernode_relax: float = 0.0        # amalgamation threshold (0 = strict)
     # -- numerical robustness layer (repro.numerics) --
     numerics: bool = True               # master switch; False restores the
     #                                     pre-numerics pipeline exactly
     equilibrate: bool = True            # Ruiz row/col scaling before DBBD
-    equilibrate_iters: int = 20
-    equilibrate_tol: float = 1e-2
     static_pivot_matching: bool = True  # MC64-style max-product row matching
-    matching_threshold: float = 1e-3    # engage matching only when some
-    #                                     scaled |a_ii| falls below this
     condest: bool = True                # Hager-Higham cond_1 per D_l and S~
     cond_threshold: float = 1e10        # above this, drop tols auto-tighten
     refine_maxiter: int = 4             # post-solve iterative refinement
@@ -171,33 +163,36 @@ class PDSLinConfig:
         if self.partitioner not in ("rhb", "ngd"):
             raise ValueError(f"partitioner must be 'rhb' or 'ngd', got "
                              f"{self.partitioner!r}")
+        check_metric(self.metric)
+        if self.scheme not in VALID_SCHEMES:
+            raise ValueError(f"scheme must be one of {VALID_SCHEMES}, got "
+                             f"{self.scheme!r}")
+        self.epsilon = fraction(self.epsilon, "epsilon")
+        for name in ("drop_interface", "drop_schur"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)!r}")
+        for name in ("block_size", "gmres_restart", "gmres_maxiter",
+                     "partition_trials"):
+            setattr(self, name, positive_int(getattr(self, name), name))
+        if not (0.0 < self.gmres_tol < np.inf):
+            raise ValueError("gmres_tol must be positive and finite, got "
+                             f"{self.gmres_tol!r}")
+        if self.quasi_dense_tau is not None and \
+                not (0.0 < self.quasi_dense_tau <= 1.0):
+            raise ValueError("quasi_dense_tau must be None or in (0, 1], "
+                             f"got {self.quasi_dense_tau!r}")
         if self.rhs_ordering not in RHS_ORDERINGS:
             raise ValueError(f"rhs_ordering must be one of {RHS_ORDERINGS}")
-        if self.krylov not in ("gmres", "bicgstab"):
-            raise ValueError("krylov must be 'gmres' or 'bicgstab', got "
-                             f"{self.krylov!r}")
-        if self.schur_factorization not in ("lu", "ilu"):
-            raise ValueError("schur_factorization must be 'lu' or 'ilu', "
-                             f"got {self.schur_factorization!r}")
         if self.subdomain_ordering not in ("md", "nd", "rcm"):
             raise ValueError("subdomain_ordering must be 'md', 'nd' or "
                              f"'rcm', got {self.subdomain_ordering!r}")
-        if not (0.0 <= self.supernode_relax < 1.0):
-            raise ValueError("supernode_relax must be in [0, 1)")
-        if self.block_size <= 0:
-            raise ValueError("block_size must be positive")
         if not self.numerics:
             # one switch turns the whole robustness layer off
             self.equilibrate = False
             self.static_pivot_matching = False
             self.condest = False
             self.refine_maxiter = 0
-        self.equilibrate_iters = positive_int(self.equilibrate_iters,
-                                              "equilibrate_iters")
-        if self.equilibrate_tol <= 0.0:
-            raise ValueError("equilibrate_tol must be positive")
-        if self.matching_threshold < 0.0:
-            raise ValueError("matching_threshold must be >= 0")
         if self.cond_threshold < 1.0:
             raise ValueError("cond_threshold must be >= 1")
         if self.refine_maxiter < 0:
@@ -434,10 +429,9 @@ class PDSLin:
     (charging simulated time to the ``Recover`` stage), fails permanent
     subdomain faults over to the root process, escalates singular
     subdomain LU through full pivoting to static pivot perturbation,
-    falls back ILU->LU on Schur factorization breakdown, refreshes the
-    Schur preconditioner once on GMRES stagnation, and falls back
-    BiCGSTAB->GMRES on breakdown. Everything that happened is on
-    ``self.recovery`` (also attached to every result).
+    and refreshes the Schur preconditioner once on GMRES stagnation.
+    Everything that happened is on ``self.recovery`` (also attached to
+    every result).
 
     Checkpoint/restart: ``checkpoint=`` (a directory or a
     :class:`repro.resilience.CheckpointManager`) snapshots solver state
@@ -487,8 +481,7 @@ class PDSLin:
         # numeric phases on a fixed pattern, so these are pure replays
         self.analysis_cache = SymbolicCache()
         self.retry_policy = rt.retry_policy or RetryPolicy()
-        self.recovery = RecoveryReport(
-            preconditioner_mode=self.config.schur_factorization)
+        self.recovery = RecoveryReport()
         self.partition: DBBDPartition | None = None
         self.subdomains: list[SubdomainComputation] = []
         self.S_tilde: sp.csr_matrix | None = None
@@ -890,10 +883,7 @@ class PDSLin:
             return
         self._prep = prepare_system(
             self.A_input, equilibrate=cfg.equilibrate,
-            matching=cfg.static_pivot_matching,
-            equilibrate_iters=cfg.equilibrate_iters,
-            equilibrate_tol=cfg.equilibrate_tol,
-            matching_threshold=cfg.matching_threshold, tracer=self.tracer)
+            matching=cfg.static_pivot_matching, tracer=self.tracer)
         self.A = self._prep.A_work
 
     def _structural_factor(self) -> sp.spmatrix | None:
@@ -988,10 +978,7 @@ class PDSLin:
         if self._prep is not None:
             # same pattern, fresh values: keep the matching permutation
             # (the partition depends on it) but recompute the scalings
-            self._prep = retarget_system(
-                self._prep, A_new,
-                equilibrate_iters=self.config.equilibrate_iters,
-                equilibrate_tol=self.config.equilibrate_tol)
+            self._prep = retarget_system(self._prep, A_new)
             self.A = self._prep.A_work
         else:
             self.A = A_new
@@ -1391,95 +1378,46 @@ class PDSLin:
             if self._s_colsum is None:
                 self._seal_schur()
             self._audit_schur(where="resume")
-            base = "ilu" if rs["mode"] == "ilu" else "lu"
-            self._on_stage("LU(S)",
-                                lambda ledger: self._factor_schur(base,
-                                                                  ledger))
+            self._on_stage("LU(S)", self._factor_schur)
             self.recovery.preconditioner_mode = rs["mode"]
         else:
             self._on_stage("Comp(S)", asm_body)
             self._seal_schur()
             self._audit_schur(where="assembly")
-            mode = cfg.schur_factorization
-            try:
-                self._on_stage(
-                    "LU(S)",
-                    lambda ledger: self._factor_schur(mode, ledger))
-                self.recovery.preconditioner_mode = mode
-            except SchurFactorizationError as err:
-                if mode != "ilu":
-                    raise
-                # ILU of S~ broke down: fall back to the full LU — a
-                # *stronger* preconditioner, so robustness costs memory,
-                # not convergence
-                self._record("LU(S)", "ilu-to-lu", err,
-                             detail="ILU breakdown; falling back to full LU "
-                                    "of S~")
-                with self.tracer.span("recover", stage="LU(S)",
-                                      action="ilu-to-lu"):
-                    self._on_stage(
-                        RECOVER_STAGE,
-                        lambda ledger: self._factor_schur("lu", ledger))
-                self.recovery.preconditioner_mode = "lu(from-ilu)"
+            self._on_stage("LU(S)", self._factor_schur)
+            self.recovery.preconditioner_mode = "lu"
         # proactive (non-degrading) robustness move: a badly conditioned
         # Schur factor makes a dropped S~ a poor preconditioner, so
         # reassemble keeping every entry before GMRES ever runs
         cond_s = self.cond_estimates.get("schur")
         if (cfg.condest and cond_s is not None and np.isfinite(cond_s)
                 and cond_s > cfg.cond_threshold
-                and self._schur_drop_used > 0.0
-                and self.recovery.preconditioner_mode != "ilu"):
-
+                and self._schur_drop_used > 0.0):
             self.tracer.count("schur_cond_rebuilds")
             self._on_stage("LU(S)", self._rebuild_schur_undropped)
             self._schur_drop_used = 0.0
             self._drop_schur_eff = 0.0
         self._register_schur_checkpoint()
 
-    def _factor_schur(self, mode: str, ledger) -> None:
-        """Factor ``S~`` as the preconditioner, in ``mode`` ("lu" or
-        "ilu"). ILU breakdown raises :class:`SchurFactorizationError`;
-        the LU path escalates through the pivoting ladder itself."""
+    def _factor_schur(self, ledger) -> None:
+        """Factor ``S~`` as the preconditioner: a pivoting LU that
+        escalates through the pivoting ladder itself."""
         cfg = self.config
-        with self.tracer.span("factor_schur", method=mode):
+        with self.tracer.span("factor_schur"):
             sp_perm = self._cached_analysis(
                 pattern_fingerprint(self.S_tilde, "schur-md"),
                 lambda: minimum_degree(self.S_tilde))
             Sp = self.S_tilde[sp_perm][:, sp_perm].tocsc()
-            if mode == "ilu":
-                # incomplete factorization of S~ — an even cheaper (and
-                # weaker) preconditioner, one of PDSLin's design options
-                import scipy.sparse.linalg as spla
-                try:
-                    ilu = spla.spilu(Sp, drop_tol=max(cfg.drop_schur, 1e-8),
-                                     fill_factor=10.0)
-                except (RuntimeError, ValueError) as exc:
-                    raise SchurFactorizationError(
-                        f"ILU of S~ broke down: {exc}",
-                        method="ilu") from exc
-                factors = LUFactors(
-                    L=ilu.L.tocsc(), U=ilu.U.tocsc(),
-                    perm_r=np.asarray(ilu.perm_r, dtype=np.int64),
-                    perm_c=np.asarray(ilu.perm_c, dtype=np.int64),
-                    handle=ilu)
-                if not (np.all(np.isfinite(factors.L.data))
-                        and np.all(np.isfinite(factors.U.data))):
-                    raise SchurFactorizationError(
-                        "ILU of S~ produced non-finite factors",
-                        method="ilu")
-                self.tracer.count("lu_fill_nnz", factors.fill_nnz)
-                self.tracer.count("lu_flops", lu_flop_count(factors))
-            else:
-                # the Schur preconditioner needs numerical robustness,
-                # not a structure-faithful factor: allow real pivoting,
-                # escalating to static perturbation on breakdown
-                factors, _ = factorize_resilient(
-                    Sp, diag_pivot_thresh=1.0, stage="LU(S)",
-                    report=self.recovery, tracer=self.tracer)
-                if cfg.condest:
-                    cond = condest_from_factors(Sp, factors)
-                    self.cond_estimates["schur"] = cond
-                    self.tracer.count("cond_est_schur", cond)
+            # the Schur preconditioner needs numerical robustness,
+            # not a structure-faithful factor: allow real pivoting,
+            # escalating to static perturbation on breakdown
+            factors, _ = factorize_resilient(
+                Sp, diag_pivot_thresh=1.0, stage="LU(S)",
+                report=self.recovery, tracer=self.tracer)
+            if cfg.condest:
+                cond = condest_from_factors(Sp, factors)
+                self.cond_estimates["schur"] = cond
+                self.tracer.count("cond_est_schur", cond)
             self._schur_factors = factors
             self._schur_perm = sp_perm
             ledger.ops.add("LU(S)", lu_flop_count(factors))
@@ -1489,7 +1427,7 @@ class PDSLin:
         tolerance 0), sealed and factored with full LU."""
         self.S_tilde = self._assemble_schur(0.0)
         self._seal_schur()
-        self._factor_schur("lu", ledger)
+        self._factor_schur(ledger)
 
     def _refresh_schur_preconditioner(self) -> None:
         """The recovery move when GMRES or refinement stagnates on a
@@ -1579,49 +1517,22 @@ class PDSLin:
 
     def _solve_schur_system(self, matvec, g: np.ndarray, *,
                             x0: np.ndarray | None = None):
-        """One Krylov attempt on the Schur system, then the recovery
-        ladder: BiCGSTAB breakdown falls back to GMRES; GMRES
-        stagnation/non-convergence gets one retry with a refreshed
-        (no-dropping) Schur preconditioner, warm-started from the
-        failed iterate. Retried solves run under fresh ``Solve``
+        """One GMRES attempt on the Schur system, then the recovery
+        ladder: stagnation/non-convergence gets one retry with a
+        refreshed (no-dropping) Schur preconditioner, warm-started from
+        the failed iterate. Retried solves run under fresh ``Solve``
         stages; the preconditioner rebuild is charged to ``Recover``.
 
         ``x0`` seeds the first attempt (the multi-RHS path passes the
         previous column's solution); recovery retries keep their own
         warm starts."""
-        cfg = self.config
-        if cfg.krylov == "bicgstab":
-            from repro.solver.bicgstab import bicgstab
-
-            def body(ledger):
-                return bicgstab(matvec, g,
-                                preconditioner=self._precondition,
-                                x0=x0,
-                                tol=cfg.gmres_tol,
-                                maxiter=cfg.gmres_maxiter,
-                                audit_every=25 if self._abft_on() else 0,
-                                tracer=self.tracer)
-            res = self._on_stage("Solve", body)
-            if res.converged:
-                return res
-            err = KrylovBreakdownError(
-                "BiCGSTAB breakdown on the Schur system" if res.breakdown
-                else "BiCGSTAB failed to converge on the Schur system",
-                method="bicgstab", iterations=res.iterations)
-            self._record("Solve", "krylov-fallback", err,
-                         detail="falling back BiCGSTAB -> GMRES")
-            with self.tracer.span("recover", stage="Solve",
-                                  action="krylov-fallback"):
-                res = self._run_gmres(matvec, g, res.x)
-        else:
-            res = self._run_gmres(matvec, g, x0)
+        res = self._run_gmres(matvec, g, x0)
 
         if not res.converged:
             err = KrylovBreakdownError(
-                "GMRES stagnated on the Schur system"
-                if getattr(res, "stagnated", False)
+                "GMRES stagnated on the Schur system" if res.stagnated
                 else "GMRES failed to converge on the Schur system",
-                method="gmres", iterations=res.iterations)
+                iterations=res.iterations)
             self._record("Solve", "precond-refresh", err,
                          detail="rebuilding S~ preconditioner with "
                                 "drop_schur=0 and retrying once")
@@ -1828,7 +1739,7 @@ class PDSLin:
         per-column ladder, so every column ends equally certified."""
         cfg = self.config
         p = G.shape[1]
-        if cfg.block_gmres and p > 1 and cfg.krylov == "gmres":
+        if cfg.block_gmres and p > 1:
             def body(ledger):
                 return gmres_block(matvec, G,
                                    preconditioner=self._precondition,
@@ -2057,6 +1968,3 @@ class PDSLin:
             self.tracer.count("noise:rhs_per_s", nrhs / wall)
         return BlockResult(X=X, results=results,
                            accuracy=BlockResult.aggregate_accuracy(accs))
-
-    #: historical name of :meth:`solve_block`
-    solve_multiple = solve_block

@@ -26,7 +26,6 @@ from repro.parallel.exec import (
 )
 from repro.resilience import abft
 from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
-from repro.solver.bicgstab import bicgstab
 from repro.solver.gmres import gmres
 from repro.solver.partasks import validate_chaos_env
 
@@ -377,37 +376,6 @@ class TestKrylovDrift:
         assert tr.counters["gmres_drift_checks"] == res.drift_checks
         assert tr.counters["gmres_drift_detected"] == 0
 
-    def test_bicgstab_clean_run_audits_without_detection(self):
-        A, b = self._system()
-        tr = Tracer()
-        res = bicgstab(lambda v: A @ v, b, tol=1e-10, audit_every=2,
-                       tracer=tr)
-        assert res.converged
-        assert res.drift_checks >= 1 and not res.drift_detected
-        assert tr.counters["bicgstab_drift_detected"] == 0
-
-    def test_bicgstab_audit_off_by_default(self):
-        A, b = self._system()
-        res = bicgstab(lambda v: A @ v, b, tol=1e-10)
-        assert res.drift_checks == 0
-
-    def test_bicgstab_detects_inconsistent_operator(self):
-        # the operator silently changes mid-iteration — the recursive
-        # residual keeps shrinking while the true residual does not,
-        # exactly the signature of corrupted Krylov state
-        A, b = self._system()
-        calls = {"n": 0}
-
-        def lying_matvec(v):
-            calls["n"] += 1
-            out = A @ v
-            if calls["n"] > 6:
-                out = out + 50.0 * np.linalg.norm(v)
-            return out
-
-        res = bicgstab(lying_matvec, b, tol=1e-12, audit_every=1,
-                       maxiter=200)
-        assert res.drift_detected and not res.converged
 
 
 # -- sealed transport --------------------------------------------------------

@@ -1,76 +1,15 @@
-"""Seeded breakdown and stagnation paths of the Krylov kernels: the
-BiCGSTAB rho-restart / breakdown guards and the GMRES stagnation flag
-that drive the solver's Krylov recovery ladder."""
+"""Seeded stagnation paths of GMRES: the stagnation flag that drives
+the solver's Krylov recovery ladder."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.obs import Tracer
-from repro.solver.bicgstab import bicgstab
 from repro.solver.gmres import gmres
 
 
 def _dense_op(A):
     return lambda v: A @ v
-
-
-def _near_skew(n: int, seed: int, diag: float = 0.01) -> np.ndarray:
-    """Nearly skew-symmetric: rho = r_hat @ r collapses immediately."""
-    rng = np.random.default_rng(seed)
-    S = rng.standard_normal((n, n))
-    return S - S.T + diag * np.eye(n)
-
-
-class TestBiCGSTABBreakdown:
-    def test_denominator_breakdown_flagged(self):
-        # pure rotation: r_hat @ v vanishes on the first step
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        res = bicgstab(_dense_op(A), np.array([1.0, 0.0]), maxiter=50)
-        assert not res.converged
-        assert res.breakdown
-
-    def test_rho_breakdown_restart_then_converge(self):
-        # seeded so the recurrence restarts at least once and the fresh
-        # shadow residual carries it to convergence
-        rng = np.random.default_rng(1)
-        S = rng.standard_normal((12, 12))
-        A = S - S.T + 0.5 * np.eye(12) + 0.2 * rng.standard_normal((12, 12))
-        b = rng.standard_normal(12)
-        res = bicgstab(_dense_op(A), b, tol=1e-10, maxiter=300)
-        assert res.restarts >= 1
-        assert res.converged
-        assert np.linalg.norm(A @ res.x - b) <= 1e-9 * np.linalg.norm(b)
-
-    def test_rho_breakdown_restart_budget_exhausts(self):
-        # nearly skew-symmetric: every restart collapses again, so the
-        # budget (5) runs out and the iteration reports breakdown
-        A = _near_skew(12, seed=0)
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(12)
-        res = bicgstab(_dense_op(A), b, tol=1e-10, maxiter=100)
-        assert not res.converged
-        assert res.breakdown
-        assert res.restarts > 5
-
-    def test_tracer_counters_expose_breakdown(self):
-        tracer = Tracer()
-        A = _near_skew(12, seed=0)
-        b = np.random.default_rng(0).standard_normal(12)
-        bicgstab(_dense_op(A), b, tol=1e-10, maxiter=100, tracer=tracer)
-        assert tracer.counters["bicgstab_breakdown"] == 1
-        assert tracer.counters["bicgstab_restarts"] > 5
-        assert tracer.counters["bicgstab_converged"] == 0
-
-    def test_healthy_solve_reports_no_breakdown(self):
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((10, 10)) + 10.0 * np.eye(10)
-        b = rng.standard_normal(10)
-        res = bicgstab(_dense_op(A), b, tol=1e-12, maxiter=200)
-        assert res.converged
-        assert not res.breakdown
-        assert res.restarts == 0
 
 
 class TestGMRESStagnation:

@@ -106,14 +106,6 @@ class TestParity:
             assert blk[j].schur_size == 0
             assert blk[j].x.tobytes() == cols[j].x.tobytes()
 
-    def test_solve_multiple_delegates_to_block(self):
-        A = grid_laplacian(12, 12)
-        B = _block(A)
-        multi = PDSLin(A, _cfg()).solve_multiple(B)
-        blk = PDSLin(A, _cfg()).solve_block(B)
-        for r_m, r_b in zip(multi, blk):
-            assert r_m.x.tobytes() == r_b.x.tobytes()
-
     def test_throughput_counter_and_span(self):
         A = grid_laplacian(12, 12)
         tr = Tracer()
@@ -137,8 +129,6 @@ class TestParity:
         bad = np.ones((A.shape[0], 2)) * np.nan
         with pytest.raises(ValueError):
             solver.solve_block(bad)
-        with pytest.raises(ValueError):
-            solver.solve_multiple(np.ones(A.shape[0]))
 
 
 class TestBackendParity:

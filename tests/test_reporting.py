@@ -87,26 +87,3 @@ class TestChromeTrace:
         m = SimulatedMachine(2)
         trace = export_chrome_trace(m, tmp_path / "t.json")
         assert all(e["ph"] == "M" for e in trace["traceEvents"])
-
-
-class TestILUSchur:
-    def test_ilu_preconditioner_converges(self, rng):
-        A = grid_laplacian(14, 14)
-        b = rng.standard_normal(A.shape[0])
-        cfg = PDSLinConfig(k=4, schur_factorization="ilu", seed=0,
-                           drop_interface=1e-4, drop_schur=1e-6)
-        res = PDSLin(A, cfg).solve(b)
-        assert res.converged
-        assert res.residual_norm < 1e-7
-
-    def test_ilu_never_fewer_iterations_than_lu(self, rng):
-        A = grid_laplacian(14, 14)
-        b = rng.standard_normal(A.shape[0])
-        res_lu = PDSLin(A, PDSLinConfig(k=4, seed=0)).solve(b)
-        res_ilu = PDSLin(A, PDSLinConfig(k=4, seed=0,
-                                         schur_factorization="ilu")).solve(b)
-        assert res_ilu.iterations >= res_lu.iterations
-
-    def test_invalid_option(self):
-        with pytest.raises(ValueError):
-            PDSLinConfig(schur_factorization="cholesky")

@@ -17,7 +17,6 @@ from repro.resilience import (
     KrylovBreakdownError,
     RecoveryReport,
     RetryPolicy,
-    SchurFactorizationError,
     SdcDetectedError,
     SingularSubdomainError,
     SolverError,
@@ -41,7 +40,6 @@ class TestErrors:
     def test_solver_error_is_runtime_error(self):
         # pre-existing callers catch RuntimeError around factorizations
         assert issubclass(SingularSubdomainError, RuntimeError)
-        assert issubclass(SchurFactorizationError, RuntimeError)
         assert issubclass(KrylovBreakdownError, RuntimeError)
         assert issubclass(InjectedFault, RuntimeError)
 
@@ -54,9 +52,7 @@ class TestErrors:
         assert err.subdomain == 2
 
     def test_krylov_breakdown_attributes(self):
-        err = KrylovBreakdownError("stalled", method="bicgstab",
-                                   iterations=42)
-        assert err.method == "bicgstab"
+        err = KrylovBreakdownError("stalled", iterations=42)
         assert err.iterations == 42
         assert err.stage == "Solve"
 
@@ -278,7 +274,7 @@ class TestRecoveryReport:
 
     def test_degrading_actions_flip_flag(self):
         for action in ("static-pivot", "failover-root", "precond-refresh",
-                       "krylov-fallback"):
+                       "refine-stall"):
             rep = RecoveryReport()
             rep.record("LU(D)", action, RuntimeError("x"))
             assert rep.degraded, action
@@ -301,12 +297,12 @@ class TestRecoveryReport:
     def test_emit_recovery_counts_on_tracer(self):
         tracer = Tracer()
         rep = RecoveryReport()
-        emit_recovery(tracer, rep, "LU(S)", "ilu-to-lu", RuntimeError("x"))
-        emit_recovery(tracer, rep, "Solve", "krylov-fallback",
+        emit_recovery(tracer, rep, "LU(S)", "full-pivot", RuntimeError("x"))
+        emit_recovery(tracer, rep, "Solve", "precond-refresh",
                       KrylovBreakdownError("y"))
         assert tracer.counters["recovery_events"] == 2
-        assert tracer.counters["recovery_ilu_to_lu"] == 1
-        assert tracer.counters["recovery_krylov_fallback"] == 1
+        assert tracer.counters["recovery_full_pivot"] == 1
+        assert tracer.counters["recovery_precond_refresh"] == 1
         assert len(rep.events) == 2
 
 

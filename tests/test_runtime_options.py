@@ -128,7 +128,7 @@ class TestBlockResult:
         A, _ = system
         rng = np.random.default_rng(2)
         B = rng.standard_normal((A.shape[0], 2))
-        blk = PDSLin(A, _cfg()).solve_multiple(B)
+        blk = PDSLin(A, _cfg()).solve_block(B)
         assert isinstance(blk, BlockResult) and len(blk) == 2
 
 

@@ -1,5 +1,5 @@
-"""Tests for the solver extensions: BiCGSTAB, separator trimming, and
-the experiment CLI."""
+"""Tests for the solver extensions: separator trimming and the
+experiment CLI."""
 
 import numpy as np
 import pytest
@@ -8,64 +8,7 @@ from tests.conftest import grid_laplacian
 
 from repro.core import build_dbbd, rhb_partition, trim_separator
 from repro.graphs import nested_dissection_partition
-from repro.solver import PDSLin, PDSLinConfig, bicgstab
-
-
-class TestBiCGSTAB:
-    def test_identity(self, rng):
-        b = rng.standard_normal(12)
-        res = bicgstab(lambda v: v.copy(), b)
-        assert res.converged
-        np.testing.assert_allclose(res.x, b, atol=1e-10)
-
-    def test_spd(self, spd60, rng):
-        b = rng.standard_normal(60)
-        res = bicgstab(lambda v: spd60 @ v, b, tol=1e-12)
-        assert res.converged
-        assert np.linalg.norm(spd60 @ res.x - b) <= 1e-9 * np.linalg.norm(b)
-
-    def test_unsymmetric(self, unsym50, rng):
-        b = rng.standard_normal(50)
-        res = bicgstab(lambda v: unsym50 @ v, b, tol=1e-10, maxiter=2000)
-        if res.converged:
-            assert np.linalg.norm(unsym50 @ res.x - b) <= \
-                1e-8 * np.linalg.norm(b)
-
-    def test_preconditioner(self, rng):
-        d = np.logspace(0, 6, 40)
-        A = sp.diags(d)
-        b = rng.standard_normal(40)
-        res = bicgstab(lambda v: A @ v, b, preconditioner=lambda v: v / d,
-                       tol=1e-10)
-        assert res.converged
-        assert res.iterations <= 5
-
-    def test_zero_rhs(self):
-        res = bicgstab(lambda v: v, np.zeros(5))
-        assert res.converged and res.iterations == 0
-
-    def test_maxiter_respected(self, rng):
-        n = 60
-        A = sp.eye(n) + 5 * sp.random(n, n, 0.3, random_state=2)
-        b = rng.standard_normal(n)
-        res = bicgstab(lambda v: A @ v, b, tol=1e-15, maxiter=2)
-        assert res.iterations <= 2
-
-    def test_invalid_maxiter(self):
-        with pytest.raises(ValueError):
-            bicgstab(lambda v: v, np.ones(3), maxiter=0)
-
-    def test_pdslin_with_bicgstab(self, rng):
-        A = grid_laplacian(12, 12)
-        b = rng.standard_normal(A.shape[0])
-        cfg = PDSLinConfig(k=2, krylov="bicgstab", seed=0,
-                           drop_interface=1e-3, drop_schur=1e-4)
-        res = PDSLin(A, cfg).solve(b)
-        assert res.residual_norm < 1e-7
-
-    def test_bad_krylov_rejected(self):
-        with pytest.raises(ValueError):
-            PDSLinConfig(krylov="chebyshev")
+from repro.solver import PDSLin, PDSLinConfig
 
 
 class TestTrimSeparator:

@@ -1,5 +1,5 @@
-"""Tests for the solver's substrate options: subdomain ordering choice,
-supernode amalgamation, and the spectral NGD bisector."""
+"""Tests for the solver's substrate options: subdomain ordering choice
+and the spectral NGD bisector."""
 
 import numpy as np
 import pytest
@@ -33,21 +33,6 @@ class TestSubdomainOrdering:
             fills[ordering] = sum(s.factors.fill_nnz
                                   for s in solver.subdomains)
         assert fills["md"] != fills["rcm"]  # genuinely different orders
-
-
-class TestSupernodeRelax:
-    def test_relaxed_solver_correct(self, rng):
-        A = grid_laplacian(12, 12)
-        b = rng.standard_normal(A.shape[0])
-        strict = PDSLin(A, PDSLinConfig(k=2, seed=0)).solve(b)
-        fat = PDSLin(A, PDSLinConfig(k=2, seed=0,
-                                     supernode_relax=0.5)).solve(b)
-        assert fat.residual_norm < 1e-8
-        np.testing.assert_allclose(fat.x, strict.x, atol=1e-7)
-
-    def test_invalid_relax(self):
-        with pytest.raises(ValueError):
-            PDSLinConfig(supernode_relax=1.0)
 
 
 class TestSpectralNGD:

@@ -69,7 +69,7 @@ class TestSolveMultiple:
     def test_columns_solved(self, system, rng):
         A, solver = system
         B = rng.standard_normal((A.shape[0], 3))
-        results = solver.solve_multiple(B)
+        results = solver.solve_block(B)
         assert len(results) == 3
         for j, res in enumerate(results):
             np.testing.assert_allclose(A @ res.x, B[:, j], atol=1e-7)
@@ -77,15 +77,15 @@ class TestSolveMultiple:
     def test_bad_shape(self, system):
         _, solver = system
         with pytest.raises(ValueError):
-            solver.solve_multiple(np.ones(5))
+            solver.solve_block(np.ones(5))
         with pytest.raises(ValueError):
-            solver.solve_multiple(np.ones((7, 2)))
+            solver.solve_block(np.ones((7, 2)))
 
     def test_runs_setup_on_demand(self, rng):
         A = grid_laplacian(8, 8)
         solver = PDSLin(A, PDSLinConfig(k=2, seed=0))
         B = rng.standard_normal((64, 2))
-        results = solver.solve_multiple(B)
+        results = solver.solve_block(B)
         assert all(r.converged for r in results)
 
 

@@ -12,7 +12,6 @@ from repro.lu import (
     detect_supernodes,
     factor_etree,
     reach,
-    relaxed_supernodes,
     solution_pattern,
 )
 from repro.numerics.equilibrate import _row_abs_max
@@ -256,19 +255,13 @@ class TestSupernodes:
                 assert b - a == max_size or not _follows(L, b)
 
     @given(st.one_of(supernodal_factor(), lower_factor()), st.booleans(),
-           st.sampled_from(["strict", "max3", "relaxed"]),
+           st.sampled_from(["strict", "max3"]),
            st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_repack_is_the_matrix_and_solves_it(self, L, unit, how, seed):
         n = L.shape[0]
-        if how == "relaxed":
-            snl = SupernodalLower.from_csc(
-                L, unit_diagonal=unit,
-                snodes=relaxed_supernodes(L, relax=0.5))
-        else:
-            snl = SupernodalLower.from_csc(
-                L, unit_diagonal=unit,
-                max_supernode=3 if how == "max3" else 64)
+        snl = SupernodalLower.from_csc(
+            L, unit_diagonal=unit, max_supernode=3 if how == "max3" else 64)
         # the blocks, scattered back, are exactly L (unit diagonal: 1s)
         dense = np.zeros((n, n))
         for (c0, c1), D, rows, Bm in zip(snl.snodes, snl.diag_blocks,

@@ -21,7 +21,6 @@ ORDER = [
     "fig4_tdr190k", "fig4_dds_quad", "fig4_dds_linear", "fig4_matrix211",
     "fig5_tdr190k", "fig5_dds_quad", "fig5_dds_linear", "fig5_matrix211",
     "quasidense", "scaling", "ablation_weights", "ablation_fm",
-    "solver_options",
 ]
 
 

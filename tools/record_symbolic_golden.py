@@ -82,7 +82,6 @@ from repro.lu import (
     detect_supernodes,
     factor_etree,
     factorize,
-    relaxed_supernodes,
     solution_pattern,
 )
 from repro.matrices import SUITE, generate
@@ -240,11 +239,6 @@ def _factor_kernels(rows: Rows, tag: str, L: sp.spmatrix, B: sp.spmatrix,
               unit_diagonal=unit_diagonal)
     rows.call(f"{tag}:from_csc_max3", SupernodalLower.from_csc, L,
               unit_diagonal=unit_diagonal, max_supernode=3)
-    relaxed = rows.call(f"{tag}:relaxed_supernodes", relaxed_supernodes, L,
-                        relax=0.3)
-    if relaxed is not None:
-        rows.call(f"{tag}:from_csc_relaxed", SupernodalLower.from_csc, L,
-                  unit_diagonal=unit_diagonal, snodes=relaxed)
 
 
 def _scaling_kernels(rows: Rows, tag: str, A: sp.spmatrix) -> None:
@@ -424,11 +418,6 @@ def edge_rows() -> list[list[str]]:
     rows.call("B_duplicates:solution_pattern", solution_pattern, L,
               _coo(30, [(3, 0, 1.0), (3, 0, 1.0), (0, 1, 0.0), (29, 2, 1.0)],
                    m=3), method="etree")
-    for bad in ([(0, 10), (12, 30)], [(0, 10), (10, 10), (10, 30)],
-                [(0, 29)], [(1, 30)]):
-        rows.call(f"bad_ranges_{bad[0][0]}_{bad[-1][1]}_{len(bad)}",
-                  SupernodalLower.from_csc, L, unit_diagonal=True,
-                  snodes=bad)
     for ms in (1, 2, 64, 1000):
         rows.call(f"L_dense:detect_supernodes_max{ms}", detect_supernodes,
                   factors["L_dense"], max_size=ms)
@@ -499,7 +488,8 @@ def e2e_rows(name: str) -> list[list[str]]:
 def solve_rows(name: str) -> list[list[str]]:
     """``PDSLin.solve(b)`` answers (recorded from the commit before
     ``solve`` became the one-column case of ``solve_block``): numerics
-    on/off x Krylov method x ABFT mode, a cold and a warm solve each,
+    on/off x ABFT mode (GMRES, the one Krylov method), a cold and a warm
+    solve each,
     then after ``update_matrix``, on a checkpoint resume and on
     ``process:2``."""
     gm = generate(name, "tiny")
@@ -519,12 +509,10 @@ def solve_rows(name: str) -> list[list[str]]:
                                 None if acc is None else acc.refine_steps)])
 
     for numerics in (True, False):
-        for krylov in ("gmres", "bicgstab"):
-            for mode in ("off", "detect+recover"):
-                cfg = PDSLinConfig(k=4, numerics=numerics, krylov=krylov,
-                                   abft=mode)
-                record(f"numerics={int(numerics)}:{krylov}:abft={mode}",
-                       PDSLin(A, cfg, M=gm.M), b0, b1)
+        for mode in ("off", "detect+recover"):
+            cfg = PDSLinConfig(k=4, numerics=numerics, abft=mode)
+            record(f"numerics={int(numerics)}:gmres:abft={mode}",
+                   PDSLin(A, cfg, M=gm.M), b0, b1)
 
     cfg = PDSLinConfig(k=4)
     solver = PDSLin(A, cfg, M=gm.M).setup()
