@@ -32,7 +32,7 @@ from repro.matrices import (
     suite_names,
 )
 from repro.numerics import CertifiedAccuracy, backward_errors
-from repro.resilience import FaultPlan, FaultSpec, RecoveryReport, RetryPolicy
+from repro.resilience import FaultPlan, FaultSpec, RecoveryReport
 from repro.solver import (
     BlockResult,
     PDSLin,
@@ -48,7 +48,7 @@ __all__ = [
     "rhb_partition", "build_dbbd", "DBBDPartition", "RHBResult",
     "PDSLin", "PDSLinConfig", "PDSLinResult", "BlockResult",
     "RuntimeOptions",
-    "FaultPlan", "FaultSpec", "RecoveryReport", "RetryPolicy",
+    "FaultPlan", "FaultSpec", "RecoveryReport",
     "CertifiedAccuracy", "backward_errors",
     "nested_dissection_partition",
     "generate", "suite_names", "generate_robust", "robust_suite_names",

@@ -34,10 +34,8 @@ Deadlines and stragglers: ``map`` takes an optional per-batch
 ``deadline_s`` — tasks still outstanding when it expires come back as
 ``TaskOutcome.timed_out`` with a :class:`TaskDeadlineError`, their
 futures cancelled and (on the process backend) their workers killed so
-nothing is orphaned — and an optional :class:`SpeculationPolicy` that
-duplicates outstanding tasks once they run longer than a quantile of
-the completed ones. The first copy to finish wins; ties break toward
-the primary submission, deterministically, so backend bit-parity holds.
+nothing is orphaned. The caller redoes timed-out work on the root, so
+the answer never depends on which tasks beat the deadline.
 
 Selection: ``RuntimeOptions(backend=...)`` takes an :class:`Executor`, a spec
 string (``"serial"``, ``"thread"``, ``"process"``, ``"process:4"``) or
@@ -56,7 +54,6 @@ import os
 import pickle
 import time
 from concurrent.futures import (
-    FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -74,7 +71,7 @@ from repro.resilience.errors import (
 )
 
 __all__ = [
-    "TaskOutcome", "SpeculationPolicy", "Executor", "SerialBackend",
+    "TaskOutcome", "Executor", "SerialBackend",
     "ThreadBackend", "ProcessBackend", "resolve_backend", "get_backend",
     "backend_names", "in_worker", "transport_checksum_enabled",
     "ENV_BACKEND", "ENV_WORKERS", "ENV_MP_START", "ENV_IN_WORKER",
@@ -122,13 +119,11 @@ class TaskOutcome:
     :class:`TaskDeadlineError` when the batch deadline expired first —
     then ``timed_out`` is also set). ``wall_s`` is the task's own wall
     time as measured where it ran; ``worker`` the executing process id
-    (useful to see how tasks spread over the pool). ``speculated`` marks
-    a result delivered by a speculative duplicate rather than the
-    primary submission; ``duplicates`` counts how many duplicates were
-    launched for this slot. ``transport_retries`` counts resubmissions
-    after the result's blake2b transport digest failed to verify — a
-    surviving :class:`TransportChecksumError` in ``error`` means the
-    retry failed too.
+    (useful to see how tasks spread over the pool).
+    ``transport_retries`` counts resubmissions after the result's
+    blake2b transport digest failed to verify — a surviving
+    :class:`TransportChecksumError` in ``error`` means the retry failed
+    too.
     """
 
     index: int
@@ -137,59 +132,11 @@ class TaskOutcome:
     wall_s: float = 0.0
     worker: Optional[int] = None
     timed_out: bool = False
-    speculated: bool = False
-    duplicates: int = 0
     transport_retries: int = 0
 
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-@dataclass(frozen=True)
-class SpeculationPolicy:
-    """When and how to duplicate straggling tasks.
-
-    Once at least ``min_completed`` tasks of the batch have finished,
-    the straggler threshold is ``max(min_threshold_s, factor *
-    quantile(completed walls, quantile))``; any task still outstanding
-    past it gets up to ``max_duplicates`` speculative copies. The first
-    copy to return wins; completed duplicates of an already-settled
-    slot are discarded, with the primary preferred on simultaneous
-    completion — the accepted value is produced by the same task body
-    either way, so determinism of the *result* never depends on the
-    race. ``poll_s`` bounds how often the dispatcher wakes to check.
-    """
-
-    quantile: float = 0.5
-    factor: float = 3.0
-    min_completed: int = 2
-    max_duplicates: int = 1
-    min_threshold_s: float = 0.05
-    poll_s: float = 0.02
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.quantile <= 1.0):
-            raise ValueError("quantile must be in [0, 1]")
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1")
-        if self.min_completed < 1:
-            raise ValueError("min_completed must be >= 1")
-        if self.max_duplicates < 1:
-            raise ValueError("max_duplicates must be >= 1")
-        if self.min_threshold_s < 0.0 or self.poll_s <= 0.0:
-            raise ValueError("min_threshold_s must be >= 0 and "
-                             "poll_s > 0")
-
-    def threshold_s(self, completed_walls: Sequence[float]) -> Optional[float]:
-        """Straggler threshold given the batch walls seen so far, or
-        ``None`` while too few tasks have completed to estimate one."""
-        if len(completed_walls) < self.min_completed:
-            return None
-        walls = sorted(completed_walls)
-        idx = min(len(walls) - 1,
-                  max(0, int(self.quantile * len(walls))))
-        return max(self.min_threshold_s, self.factor * walls[idx])
 
 
 def _invoke(fn: Callable, payload: Any) -> Tuple[Any, Optional[BaseException],
@@ -302,9 +249,7 @@ class Executor:
         self.workers = int(workers)
 
     def map(self, fn: Callable, payloads: Sequence[Any], *,
-            deadline_s: float | None = None,
-            speculation: SpeculationPolicy | None = None,
-            ) -> List[TaskOutcome]:
+            deadline_s: float | None = None) -> List[TaskOutcome]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -330,9 +275,9 @@ class Executor:
 class SerialBackend(Executor):
     """Inline execution — the reference semantics.
 
-    ``deadline_s`` and ``speculation`` are accepted and ignored: inline
-    tasks cannot be preempted or duplicated, and the serial result is
-    by definition the reference every mitigated run must match.
+    ``deadline_s`` is accepted and ignored: inline tasks cannot be
+    preempted, and the serial result is by definition the reference
+    every mitigated run must match.
     """
 
     name = "serial"
@@ -342,9 +287,7 @@ class SerialBackend(Executor):
         super().__init__(1)
 
     def map(self, fn: Callable, payloads: Sequence[Any], *,
-            deadline_s: float | None = None,
-            speculation: SpeculationPolicy | None = None,
-            ) -> List[TaskOutcome]:
+            deadline_s: float | None = None) -> List[TaskOutcome]:
         sealed = self._seal_tasks()
         verify = transport_checksum_enabled()
         invoke = _invoke_sealed if sealed else _invoke
@@ -369,7 +312,7 @@ class SerialBackend(Executor):
 
 
 class _PooledBackend(Executor):
-    """Shared dispatch loop of the thread and process backends.
+    """Shared dispatch of the thread and process backends.
 
     Subclasses provide ``_ensure()`` (a live ``concurrent.futures``
     pool), ``_broken_exc`` (exception types meaning "a worker died" —
@@ -387,35 +330,57 @@ class _PooledBackend(Executor):
         next ``map`` starts clean and nothing is orphaned."""
 
     def map(self, fn: Callable, payloads: Sequence[Any], *,
-            deadline_s: float | None = None,
-            speculation: SpeculationPolicy | None = None,
-            ) -> List[TaskOutcome]:
+            deadline_s: float | None = None) -> List[TaskOutcome]:
+        """Submit every task; with a deadline, wait once until it
+        expires (measured from batch submission, queueing included) and
+        time out together whatever is still outstanding. Outcomes are
+        settled in submission order."""
         pool = self._ensure()
         invoke = _invoke_sealed if self._seal_tasks() else _invoke
         futures: List[Future] = []
-        submit_crash = None
-        for p in payloads:
-            try:
-                futures.append(pool.submit(invoke, fn, p))
-            except self._broken_exc as exc:
-                # a worker died while the fan-out was still being
-                # dispatched (the chaos crash seam can fire that fast):
-                # settle what got in and book the unsubmitted tail as
-                # worker crashes, so callers take the normal failover
-                # path instead of seeing a raw BrokenProcessPool
-                submit_crash = exc
-                break
-        if submit_crash is not None:
-            out = [self._settle(f, i)[0] for i, f in enumerate(futures)]
-            out.extend(TaskOutcome(index=i, error=WorkerCrashError(
-                f"worker process died before task {i} was submitted: "
-                f"{submit_crash}", backend=self.name))
-                for i in range(len(futures), len(payloads)))
+        out: List[TaskOutcome] = []
+        unsubmitted: List[TaskOutcome] = []
+        broken = False
+        try:
+            for p in payloads:
+                try:
+                    futures.append(pool.submit(invoke, fn, p))
+                except self._broken_exc as exc:
+                    # a worker died while the fan-out was still being
+                    # dispatched (the chaos crash seam can fire that
+                    # fast): book the unsubmitted tail as worker
+                    # crashes, so callers take the normal failover path
+                    # instead of seeing a raw BrokenProcessPool
+                    unsubmitted = [TaskOutcome(index=i, error=WorkerCrashError(
+                        f"worker process died before task {i} was "
+                        f"submitted: {exc}", backend=self.name))
+                        for i in range(len(futures), len(payloads))]
+                    broken = True
+                    break
+            late = set() if deadline_s is None else \
+                wait(futures, timeout=deadline_s).not_done
+            for i, f in enumerate(futures):
+                if f in late:
+                    f.cancel()
+                    out.append(TaskOutcome(
+                        index=i, timed_out=True, error=TaskDeadlineError(
+                            f"task {i} still outstanding after the "
+                            f"{deadline_s}s batch deadline",
+                            deadline_s=deadline_s)))
+                    continue
+                outcome, died = self._settle(f, i)
+                out.append(outcome)
+                broken = broken or died
+        except BaseException:
+            for f in futures:
+                f.cancel()
             self._reap()
-            return self._retry_transport(fn, payloads, out)
-        out = self._map_mitigated(pool, invoke, fn, payloads, futures,
-                                  deadline_s, speculation)
-        return self._retry_transport(fn, payloads, out)
+            raise
+        if broken or late:
+            # abandoned tasks may still be running: dispose of the pool
+            # (killing worker processes) so nothing is orphaned
+            self._reap()
+        return self._retry_transport(fn, payloads, out + unsubmitted)
 
     def _retry_transport(self, fn: Callable, payloads: Sequence[Any],
                          outcomes: List[TaskOutcome]) -> List[TaskOutcome]:
@@ -423,21 +388,18 @@ class _PooledBackend(Executor):
         failed its transport digest. A second failure keeps the
         :class:`TransportChecksumError` for the caller to handle."""
         bad = [o for o in outcomes
-               if isinstance(o.error, TransportChecksumError)
-               and not o.timed_out]
+               if isinstance(o.error, TransportChecksumError)]
         for o in bad:
             pool = self._ensure()
             f = pool.submit(_invoke_sealed_clean, fn, payloads[o.index])
-            retry, died = self._settle(f, o.index,
-                                       duplicates=o.duplicates)
+            retry, died = self._settle(f, o.index)
             retry.transport_retries = o.transport_retries + 1
             outcomes[o.index] = retry
             if died:
                 self._reap()
         return outcomes
 
-    def _settle(self, f: Future, index: int, *, speculated: bool = False,
-                duplicates: int = 0) -> Tuple[TaskOutcome, bool]:
+    def _settle(self, f: Future, index: int) -> Tuple[TaskOutcome, bool]:
         """One future -> one outcome; second element flags pool death.
         Sealed values are digest-verified and unpickled here."""
         try:
@@ -447,116 +409,13 @@ class _PooledBackend(Executor):
                     value, verify=transport_checksum_enabled(),
                     backend=self.name)
             return TaskOutcome(index=index, value=value, error=error,
-                               wall_s=wall, worker=pid,
-                               speculated=speculated,
-                               duplicates=duplicates), False
+                               wall_s=wall, worker=pid), False
         except self._broken_exc as exc:
             return TaskOutcome(index=index, error=WorkerCrashError(
                 f"worker process died while running task {index}: {exc}",
-                backend=self.name), duplicates=duplicates), True
+                backend=self.name)), True
         except Exception as exc:  # e.g. result unpickling failure
-            return TaskOutcome(index=index, error=exc,
-                               duplicates=duplicates), False
-
-    def _map_mitigated(self, pool, invoke: Callable, fn: Callable,
-                       payloads: Sequence[Any],
-                       futures: List[Future], deadline_s: float | None,
-                       speculation: SpeculationPolicy | None,
-                       ) -> List[TaskOutcome]:
-        """Completion-order loop, optionally with a batch deadline and
-        speculative duplicates (with neither it waits for every task;
-        outcomes come back in submission order either way). The deadline
-        is measured from batch submission and covers the whole ``map``
-        (queueing included): everything not finished when it expires
-        times out together."""
-        t0 = time.monotonic()
-        info: Dict[Future, Tuple[int, bool]] = {
-            f: (i, False) for i, f in enumerate(futures)}
-        pending = set(futures)
-        outcomes: List[Optional[TaskOutcome]] = [None] * len(payloads)
-        duplicates = [0] * len(payloads)
-        walls: List[float] = []
-        broken = False
-        try:
-            while pending and not broken:
-                budget = None
-                if deadline_s is not None:
-                    budget = deadline_s - (time.monotonic() - t0)
-                    if budget <= 0:
-                        break
-                if speculation is not None:
-                    budget = speculation.poll_s if budget is None \
-                        else min(budget, speculation.poll_s)
-                if budget is None:  # nothing to time: block on the oldest
-                    done = [min(pending, key=info.__getitem__)]
-                else:
-                    done, _ = wait(pending, timeout=budget,
-                                   return_when=FIRST_COMPLETED)
-                # deterministic tie-break: settle by (index, duplicate)
-                # so a primary finishing alongside its duplicate wins
-                for f in sorted(done, key=lambda f: info[f]):
-                    pending.discard(f)
-                    index, is_dup = info[f]
-                    if outcomes[index] is not None:
-                        continue  # slot already settled: discard loser
-                    outcome, died = self._settle(
-                        f, index, speculated=is_dup,
-                        duplicates=duplicates[index])
-                    outcomes[index] = outcome
-                    broken = broken or died
-                    walls.append(time.monotonic() - t0)
-                    for g, (j, _) in info.items():
-                        if j == index and g in pending:
-                            g.cancel()
-                            pending.discard(g)
-                            break
-                if broken:
-                    # the pool is dead: every remaining future fails
-                    # with the same broken-pool error immediately
-                    for f in list(pending):
-                        pending.discard(f)
-                        index, is_dup = info[f]
-                        if outcomes[index] is None:
-                            outcomes[index], _ = self._settle(
-                                f, index, speculated=is_dup,
-                                duplicates=duplicates[index])
-                    break
-                if speculation is not None and pending:
-                    thr = speculation.threshold_s(walls)
-                    if thr is not None and time.monotonic() - t0 > thr:
-                        for index in range(len(payloads)):
-                            if outcomes[index] is None and \
-                                    duplicates[index] < \
-                                    speculation.max_duplicates:
-                                duplicates[index] += 1
-                                dup = pool.submit(invoke, fn,
-                                                  payloads[index])
-                                info[dup] = (index, True)
-                                pending.add(dup)
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            self._reap()
-            raise
-        timed_out = False
-        for index in range(len(payloads)):
-            if outcomes[index] is None:
-                timed_out = True
-                outcomes[index] = TaskOutcome(
-                    index=index, timed_out=True,
-                    duplicates=duplicates[index],
-                    error=TaskDeadlineError(
-                        f"task {index} still outstanding after the "
-                        f"{deadline_s}s batch deadline",
-                        deadline_s=deadline_s or 0.0))
-        if timed_out:
-            for f in pending:
-                f.cancel()
-        if broken or timed_out:
-            # abandoned tasks may still be running: dispose of the pool
-            # (killing worker processes) so nothing is orphaned
-            self._reap()
-        return [o for o in outcomes if o is not None]
+            return TaskOutcome(index=index, error=exc), False
 
 
 class ThreadBackend(_PooledBackend):

@@ -8,7 +8,6 @@ pipeline must *recover* rather than abort:
   (:class:`SolverError` and friends) carrying stage/subdomain context;
 - :mod:`repro.resilience.faults` — seeded, deterministic fault
   injection for the simulated machine (:class:`FaultPlan`);
-- :mod:`repro.resilience.retry` — the generic :class:`RetryPolicy`;
 - :mod:`repro.resilience.report` — :class:`RecoveryReport`, the
   degraded-mode accounting attached to every solve result;
 - :mod:`repro.resilience.recovery` — the ladder drivers
@@ -40,7 +39,6 @@ from repro.resilience.abft import (
 )
 from repro.resilience.checkpoint import (
     CheckpointManager,
-    CheckpointPolicy,
     CheckpointState,
     load_checkpoint,
     truncate_checkpoint,
@@ -65,7 +63,6 @@ from repro.resilience.report import (
     RecoveryReport,
     emit_recovery,
 )
-from repro.resilience.retry import RetryPolicy, run_with_retry
 
 __all__ = [
     "SolverError", "SingularSubdomainError",
@@ -73,13 +70,12 @@ __all__ = [
     "WorkerCrashError", "TaskDeadlineError", "CheckpointError",
     "SdcDetectedError", "TransportChecksumError",
     "FaultSpec", "FaultPlan", "FiredFault",
-    "RetryPolicy", "run_with_retry",
     "RecoveryEvent", "RecoveryReport", "DEGRADING_ACTIONS", "emit_recovery",
     "factorize_resilient", "sdc_ladder",
     "ABFT_MODES", "AuditResult", "FactorChecksums",
     "attach_factor_checksums", "verify_factors", "checksum_matrix",
     "verify_matrix_checksum", "bitflip_seam", "maybe_bitflip",
     "reset_bitflip_state",
-    "CheckpointManager", "CheckpointPolicy", "CheckpointState",
+    "CheckpointManager", "CheckpointState",
     "load_checkpoint", "truncate_checkpoint",
 ]

@@ -26,13 +26,14 @@ verify every shard digest against the manifest before unpacking;
 corruption or truncation raises :class:`CheckpointError` instead of
 resuming from poisoned state.
 
-Policy: :class:`CheckpointPolicy` snapshots every ``every`` completed
-subdomains and (optionally) on SIGTERM — the handler flushes pending
-shards, restores the previous handler and re-raises the signal so the
-process still dies with the honest exit status. The
-``REPRO_CHECKPOINT_KILL_AFTER_SUBDOMAIN`` chaos seam SIGTERMs the
-process right after a chosen subdomain registers, exercising the
-signal-snapshot path end to end (used by the ``restart`` drill).
+Cadence: :class:`CheckpointManager` flushes after every completed
+subdomain and at the Schur boundary, and its armed SIGTERM handler
+flushes whatever is still pending, restores the previous handler and
+re-raises the signal so the process still dies with the honest exit
+status. The ``REPRO_CHECKPOINT_KILL_AFTER_SUBDOMAIN`` chaos seam
+SIGTERMs the process right after a chosen subdomain registers,
+exercising the signal-snapshot path end to end (used by the
+``restart`` drill).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.resilience.errors import CheckpointError
 
 __all__ = [
-    "CheckpointPolicy", "CheckpointManager", "CheckpointState",
+    "CheckpointManager", "CheckpointState",
     "load_checkpoint", "truncate_checkpoint", "matrix_fingerprint",
     "config_fingerprint", "pack_sparse", "unpack_sparse",
     "MANIFEST_NAME", "CHECKPOINT_VERSION", "ENV_KILL_AFTER",
@@ -167,43 +168,22 @@ def subdomain_shard_name(ell: int) -> str:
     return f"sub_{ell:04d}"
 
 
-# -- policy + manager ------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """When snapshots hit disk.
-
-    ``every`` — flush after that many newly completed subdomains
-    (``1`` = after each). ``on_signal`` — arm a SIGTERM handler while
-    the solver runs so an external kill snapshots before dying.
-    ``final`` — snapshot at the end of setup (the Schur boundary).
-    """
-
-    every: int = 1
-    on_signal: bool = True
-    final: bool = True
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError("every must be >= 1")
-
+# -- manager ---------------------------------------------------------------
 
 class CheckpointManager:
     """Owns one checkpoint directory: registration, flushing, signals.
 
     Shards register as *pending* (``register_partition`` /
     ``register_subdomain`` / ``register_schur``) and hit disk on
-    ``snapshot()`` — driven by the policy, the armed signal handler, or
-    explicitly. A shard already on disk (same name, e.g. when resuming
-    into the directory the checkpoint came from) is never rewritten;
-    registration is idempotent, so the writer path needs no
-    deduplication logic.
+    ``snapshot()`` — after each subdomain and at the Schur boundary,
+    from the armed signal handler, or explicitly. A shard already on
+    disk (same name, e.g. when resuming into the directory the
+    checkpoint came from) is never rewritten; registration is
+    idempotent, so the writer path needs no deduplication logic.
     """
 
-    def __init__(self, directory, *, policy: CheckpointPolicy | None = None,
-                 tracer=NULL_TRACER):
+    def __init__(self, directory, *, tracer=NULL_TRACER):
         self.directory = Path(directory)
-        self.policy = policy or CheckpointPolicy()
         self.tracer = tracer
         self._identity: dict | None = None
         self._pending: Dict[str, Dict[str, np.ndarray]] = {}
@@ -212,7 +192,6 @@ class CheckpointManager:
         self._partition_done = False
         self._schur_done = False
         self._state: dict = {}
-        self._since_snapshot = 0
         self._prev_handlers: dict = {}
         self._kill_after = _env_kill_after()
 
@@ -236,7 +215,6 @@ class CheckpointManager:
         self._partition_done = False
         self._schur_done = False
         self._state = {}
-        self._since_snapshot = 0
         try:
             existing = load_checkpoint(self.directory)
         except CheckpointError:
@@ -281,12 +259,10 @@ class CheckpointManager:
                            arrays: "Dict[str, np.ndarray] | Callable[[], dict]",
                            ) -> None:
         """One completed subdomain (LU + Comp accepted by the parent).
-        Applies the every-k policy, then the chaos kill seam."""
+        Flushes it, then applies the chaos kill seam."""
         if self._register(subdomain_shard_name(ell), arrays):
             self._done_subdomains.append(int(ell))
-            self._since_snapshot += 1
-            if self._since_snapshot >= self.policy.every:
-                self.snapshot()
+            self.snapshot()
         if self._kill_after is not None and int(ell) == self._kill_after:
             # chaos seam: die by SIGTERM so the armed handler (or the
             # default: plain death, losing pending work) runs for real
@@ -298,8 +274,7 @@ class CheckpointManager:
             self._state.update(state)
         if self._register("schur", arrays):
             self._schur_done = True
-            if self.policy.final:
-                self.snapshot()
+            self.snapshot()
 
     # -- snapshotting ------------------------------------------------------
 
@@ -331,7 +306,6 @@ class CheckpointManager:
             }
             _atomic_write(self.directory / MANIFEST_NAME,
                           json.dumps(manifest, indent=1).encode())
-        self._since_snapshot = 0
         self.tracer.count("checkpoint_snapshots")
         return self.directory / MANIFEST_NAME
 
@@ -339,8 +313,8 @@ class CheckpointManager:
 
     def arm(self) -> None:
         """Install the snapshot-on-SIGTERM handler (main thread only;
-        a no-op elsewhere or when the policy disables it)."""
-        if not self.policy.on_signal or self._prev_handlers:
+        a no-op elsewhere)."""
+        if self._prev_handlers:
             return
         if threading.current_thread() is not threading.main_thread():
             return

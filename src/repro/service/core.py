@@ -212,8 +212,9 @@ class SolverService:
         unknown fingerprints, or a closed service raise synchronously.
         """
         cfg = config or self.default_config
-        if deadline_s is not None and deadline_s <= 0.0:
-            raise ValueError("deadline_s must be positive")
+        if deadline_s is not None and not (0.0 < deadline_s < np.inf):
+            raise ValueError("deadline_s must be positive and finite, "
+                             f"got {deadline_s!r}")
         b = np.asarray(b, dtype=np.float64)
         if b.ndim != 1:
             raise ValueError("b must be a 1-D right-hand side; batch "

@@ -26,7 +26,7 @@ Scenarios (:data:`SCENARIOS`; :func:`run` calls one by name):
 - ``faults`` — the smoke solve under :func:`standard_fault_plan`
   converges, degraded, with every recovery reported and booked;
 - ``stragglers`` — a deadline fails a sleeping subdomain over to the
-  root, speculation launches duplicates, both bit-identical to serial;
+  root, bit-identical to serial;
 - ``bitflip`` — a seeded bit flip at every ABFT site is detected and
   repaired under ``abft="detect+recover"`` and silently wrong under
   ``abft="off"``;
@@ -336,30 +336,23 @@ def _stragglers(backend="thread:2") -> SmokeRun:
     """The smoke solve on a parallel backend with subdomain 1 sleeping
     0.6 s. A 0.3 s task deadline must time it out and fail it over to
     the root, honestly degraded (``deadline_fired``,
-    ``deadline_degraded``); speculation must launch duplicates
-    (``speculation_launched``); both runs converge and match the clean
-    serial solve byte for byte (``converged``, ``bit_identical``)."""
+    ``deadline_degraded``), converge and match the clean serial solve
+    byte for byte (``converged``, ``bit_identical``)."""
     p = problem()
     ref = p.solver("serial").solve(p.b)
-    t_dead, t_spec = Tracer(), Tracer()
+    tracer = Tracer()
     with chaos_seams({ENV_STRAGGLE_SUBDOMAIN: "1", ENV_STRAGGLE_S: "0.6"}):
-        r_dead = p.solver(backend, tracer=t_dead,
-                          task_deadline_s=0.3).solve(p.b)
-        r_spec = p.solver(backend, tracer=t_spec,
-                          speculation=True).solve(p.b)
-    actions = {e.action for e in r_dead.recovery.events}
+        res = p.solver(backend, tracer=tracer,
+                       task_deadline_s=0.3).solve(p.b)
+    actions = {e.action for e in res.recovery.events}
     checks = {
-        "converged": bool(r_dead.converged and r_spec.converged),
-        "deadline_fired": t_dead.counters.get("deadline_timeouts", 0) >= 1
+        "converged": bool(res.converged),
+        "deadline_fired": tracer.counters.get("deadline_timeouts", 0) >= 1
                           and "deadline-failover" in actions,
-        "deadline_degraded": bool(r_dead.degraded),
-        "speculation_launched": t_spec.counters.get(
-            "speculation_launched", 0) >= 1,
-        "bit_identical": ref.x.tobytes() == r_dead.x.tobytes()
-                         and ref.x.tobytes() == r_spec.x.tobytes(),
+        "deadline_degraded": bool(res.degraded),
+        "bit_identical": ref.x.tobytes() == res.x.tobytes(),
     }
-    return SmokeRun(checks, t_dead, {"deadline": _outcome(r_dead),
-                                     "speculation": _outcome(r_spec)})
+    return SmokeRun(checks, tracer, {"deadline": _outcome(res)})
 
 
 @scenario("bitflip")

@@ -27,7 +27,7 @@ up that subdomain hard-exits, exercising the crash-failover path end to
 end (used by the resilience tests and available for chaos drills).
 ``REPRO_CHAOS_STRAGGLE_SUBDOMAIN`` is its slow sibling: setup of that
 subdomain sleeps ``REPRO_CHAOS_STRAGGLE_S`` seconds (default 0.25)
-before running, exercising the deadline/speculation mitigation of
+before running, exercising the deadline mitigation of
 :mod:`repro.parallel.exec` on any backend. The
 ``REPRO_CHAOS_BITFLIP_*`` seam (:mod:`repro.resilience.abft`) with
 ``target=lu`` corrupts the factor data of its victim subdomain right
@@ -89,7 +89,7 @@ __all__ = [
 #: a segfault/OOM kill). Parent-side recovery must absorb it.
 ENV_CRASH_SUBDOMAIN = "REPRO_CHAOS_CRASH_SUBDOMAIN"
 #: Chaos hook: setup of subdomain ℓ sleeps before doing any work —
-#: a deterministic straggler for deadline/speculation drills.
+#: a deterministic straggler for deadline drills.
 ENV_STRAGGLE_SUBDOMAIN = "REPRO_CHAOS_STRAGGLE_SUBDOMAIN"
 #: Straggler sleep in seconds (default 0.25).
 ENV_STRAGGLE_S = "REPRO_CHAOS_STRAGGLE_S"

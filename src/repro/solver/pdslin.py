@@ -53,7 +53,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.ordering import minimum_degree
 from repro.parallel import RECOVER_STAGE, SimulatedMachine
 from repro.parallel.costmodel import record_model_skew
-from repro.parallel.exec import SpeculationPolicy, resolve_backend
+from repro.parallel.exec import resolve_backend
 from repro.resilience import (
     DEGRADING_ACTIONS,
     CheckpointManager,
@@ -61,7 +61,6 @@ from repro.resilience import (
     KrylovBreakdownError,
     RecoveryReport,
     RefinementStallError,
-    RetryPolicy,
     SdcDetectedError,
     TransportChecksumError,
     WorkerCrashError,
@@ -115,6 +114,9 @@ __all__ = ["PDSLinConfig", "RuntimeOptions", "SubdomainComputation",
            "PDSLinResult", "BlockResult", "PDSLin"]
 
 RHS_ORDERINGS = ("natural", "postorder", "hypergraph")
+#: Tries of a stage hit by a transient injected fault (first included)
+#: before a subdomain's work fails over to the root.
+FAULT_ATTEMPTS = 3
 
 
 @dataclass
@@ -425,7 +427,7 @@ class PDSLin:
 
     Resilience: an optional :class:`repro.resilience.FaultPlan` arms
     seeded fault injection on the simulated machine, and the recovery
-    ladder — bounded by ``retry_policy`` — retries transient faults
+    ladder retries transient faults up to :data:`FAULT_ATTEMPTS` tries
     (charging simulated time to the ``Recover`` stage), fails permanent
     subdomain faults over to the root process, escalates singular
     subdomain LU through full pivoting to static pivot perturbation,
@@ -436,8 +438,8 @@ class PDSLin:
     Checkpoint/restart: ``checkpoint=`` (a directory or a
     :class:`repro.resilience.CheckpointManager`) snapshots solver state
     at stage boundaries — the partition, each accepted subdomain, the
-    assembled Schur complement — per ``checkpoint_policy`` (default:
-    after every subdomain, plus on SIGTERM). ``resume=`` points at such
+    assembled Schur complement — after every subdomain, at the Schur
+    boundary and on SIGTERM. ``resume=`` points at such
     a directory: completed work is restored bit-exactly and skipped,
     and the resumed solve is byte-identical to an uninterrupted run.
     Both may name the same directory (kill-and-resume in place).
@@ -445,10 +447,7 @@ class PDSLin:
     Stragglers: ``task_deadline_s`` bounds each parallel setup fan-out;
     work still outstanding at the deadline is cancelled (workers killed,
     never orphaned) and redone on the root, recorded as a degrading
-    ``deadline-failover``. ``speculation`` (a
-    :class:`repro.parallel.exec.SpeculationPolicy`, or ``True`` for the
-    defaults) duplicates straggling tasks instead; first result wins
-    with a deterministic tie-break, so bit-parity holds either way.
+    ``deadline-failover``; the answer stays bit-identical to serial.
     """
 
     def __init__(self, A: sp.spmatrix, config: PDSLinConfig | None = None, *,
@@ -480,7 +479,6 @@ class PDSLin:
         # ordering, Schur MD permutation): update_matrix() reruns the
         # numeric phases on a fixed pattern, so these are pure replays
         self.analysis_cache = SymbolicCache()
-        self.retry_policy = rt.retry_policy or RetryPolicy()
         self.recovery = RecoveryReport()
         self.partition: DBBDPartition | None = None
         self.subdomains: list[SubdomainComputation] = []
@@ -499,23 +497,17 @@ class PDSLin:
         self._schur_drop_used = self.config.drop_schur
         self.cond_estimates: dict = {"subdomains": {}, "schur": None}
         # -- checkpoint/restart + straggler mitigation
-        if rt.task_deadline_s is not None and rt.task_deadline_s <= 0.0:
-            raise ValueError("task_deadline_s must be positive")
+        if rt.task_deadline_s is not None and \
+                not (0.0 < rt.task_deadline_s < np.inf):
+            raise ValueError("task_deadline_s must be positive and finite, "
+                             f"got {rt.task_deadline_s!r}")
         self.task_deadline_s = rt.task_deadline_s
-        speculation = rt.speculation
-        if speculation is True:
-            speculation = SpeculationPolicy()
-        elif speculation is False:
-            speculation = None
-        self.speculation: SpeculationPolicy | None = speculation
         if isinstance(rt.checkpoint, CheckpointManager):
             self._ckpt: CheckpointManager | None = rt.checkpoint
             if self._ckpt.tracer is NULL_TRACER:
                 self._ckpt.tracer = self.tracer
         elif rt.checkpoint is not None:
-            self._ckpt = CheckpointManager(
-                rt.checkpoint, policy=rt.checkpoint_policy,
-                tracer=self.tracer)
+            self._ckpt = CheckpointManager(rt.checkpoint, tracer=self.tracer)
         else:
             self._ckpt = None
         self._resume_dir = rt.resume
@@ -566,7 +558,7 @@ class PDSLin:
         for a subdomain process that is the recorded, degrading
         ``failover-root``."""
         self.machine.charge_recovery(ell, seconds=fault.recovery_cost_s)
-        if not fault.permanent and attempt < self.retry_policy.max_attempts:
+        if not fault.permanent and attempt < FAULT_ATTEMPTS:
             self._record(stage, "retry", fault, subdomain=ell,
                          attempt=attempt)
             return True
@@ -1107,24 +1099,19 @@ class PDSLin:
 
     def _fan_out(self, span: str, fn: Callable, tasks: list) -> dict:
         """Ship ``tasks`` (one per subdomain) through the backend under
-        a ``span`` span and book what the transport saw: speculative
-        duplicates, and digest mismatches on shipped results — detected
-        SDC on the wire, recovered when the backend's one clean
-        resubmission was accepted (a second mismatch is left to
-        :meth:`_triage`). Returns the outcomes by subdomain."""
+        a ``span`` span and book what the transport saw: digest
+        mismatches on shipped results — detected SDC on the wire,
+        recovered when the backend's one clean resubmission was accepted
+        (a second mismatch is left to :meth:`_triage`). Returns the
+        outcomes by subdomain."""
         with self.tracer.span(span, backend=self.backend.name,
                               workers=self.backend.workers,
                               tasks=len(tasks)):
             outcomes = self.backend.map(fn, tasks,
-                                        deadline_s=self.task_deadline_s,
-                                        speculation=self.speculation)
+                                        deadline_s=self.task_deadline_s)
         by_ell = {}
         for task, out in zip(tasks, outcomes):
             by_ell[task.ell] = out
-            if out.duplicates:
-                self.tracer.count("speculation_launched", out.duplicates)
-            if out.speculated:
-                self.tracer.count("speculation_wins")
             if out.transport_retries:
                 err = TransportChecksumError(
                     "result payload failed its transport checksum",

@@ -1,16 +1,15 @@
 """Consolidated runtime options for :class:`repro.solver.PDSLin`.
 
-The solver's constructor grew one keyword per subsystem PR — tracer,
-backend, fault plan, retry policy, verifier, checkpoint writer/policy,
-resume directory, task deadline, speculation — a 12-knob surface that
-every embedding (the serving layer, the chaos/parity/restart CLIs, the
-top-level :func:`repro.solve`) had to mirror. :class:`RuntimeOptions`
-packages them as one value object::
+The solver's constructor grew one keyword per subsystem — tracer,
+backend, verifier, fault plan, checkpoint writer, resume directory,
+task deadline — a surface that every embedding (the serving layer,
+the smoke drills, the top-level :func:`repro.solve`) had to mirror.
+:class:`RuntimeOptions` packages them as one value object::
 
     from repro.solver import PDSLin, RuntimeOptions
 
     rt = RuntimeOptions(tracer=tracer, backend="process:4",
-                        task_deadline_s=30.0, speculation=True)
+                        task_deadline_s=30.0)
     solver = PDSLin(A, config, runtime=rt)
 
 The fields split *what* to solve (``PDSLinConfig``: drop tolerances,
@@ -28,13 +27,8 @@ from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # imported lazily to keep this module dependency-free
     from repro.obs.tracer import Tracer
-    from repro.parallel.exec import Executor, SpeculationPolicy
-    from repro.resilience import (
-        CheckpointManager,
-        CheckpointPolicy,
-        FaultPlan,
-        RetryPolicy,
-    )
+    from repro.parallel.exec import Executor
+    from repro.resilience import CheckpointManager, FaultPlan
     from repro.verify.invariants import Verifier
 
 __all__ = ["RuntimeOptions"]
@@ -53,29 +47,25 @@ class RuntimeOptions:
     - ``verify`` — ``True`` (or a custom
       :class:`~repro.verify.invariants.Verifier`) arms the post-stage
       invariant checks.
-    - ``fault_plan`` / ``retry_policy`` — seeded fault injection on the
-      simulated machine and the retry budget of the recovery ladder.
-    - ``checkpoint`` / ``checkpoint_policy`` / ``resume`` — the
-      checkpoint writer (directory or
-      :class:`~repro.resilience.CheckpointManager`), its cadence, and a
-      directory to restore bit-exactly from.
-    - ``task_deadline_s`` / ``speculation`` — straggler mitigation of
-      parallel fan-outs: a per-batch deadline (timed-out work redone on
-      the root) and/or speculative duplicate execution
-      (:class:`~repro.parallel.exec.SpeculationPolicy`, or ``True`` for
-      the defaults).
+    - ``fault_plan`` — seeded fault injection on the simulated machine
+      (transient faults get 3 attempts before a subdomain fails over
+      to the root).
+    - ``checkpoint`` / ``resume`` — the checkpoint writer (directory or
+      :class:`~repro.resilience.CheckpointManager`; it flushes after
+      every subdomain and on SIGTERM) and a directory to restore
+      bit-exactly from.
+    - ``task_deadline_s`` — straggler mitigation of parallel fan-outs:
+      a per-batch deadline in seconds (finite, positive); timed-out
+      work is redone on the root.
     """
 
     tracer: Optional["Tracer"] = None
     backend: Union["Executor", str, None] = None
     verify: Union[bool, "Verifier"] = False
     fault_plan: Optional["FaultPlan"] = None
-    retry_policy: Optional["RetryPolicy"] = None
     checkpoint: Union["CheckpointManager", str, None] = None
-    checkpoint_policy: Optional["CheckpointPolicy"] = None
     resume: Optional[str] = None
     task_deadline_s: Optional[float] = None
-    speculation: Union["SpeculationPolicy", bool, None] = None
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

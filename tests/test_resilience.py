@@ -1,5 +1,5 @@
 """Unit tests for the resilience subsystem: structured errors, seeded
-fault injection, machine integration, retry policy, recovery report."""
+fault injection, machine integration, recovery report."""
 
 from __future__ import annotations
 
@@ -16,13 +16,11 @@ from repro.resilience import (
     InjectedFault,
     KrylovBreakdownError,
     RecoveryReport,
-    RetryPolicy,
     SdcDetectedError,
     SingularSubdomainError,
     SolverError,
     emit_recovery,
     factorize_resilient,
-    run_with_retry,
     sdc_ladder,
 )
 
@@ -206,58 +204,6 @@ class TestMachineFaults:
         assert r0 == r1 == pytest.approx(0.125)
         assert [f.attempt for f in plans[0].fired] == \
                [f.attempt for f in plans[1].fired]
-
-
-# ---------------------------------------------------------------------------
-# retry policy
-# ---------------------------------------------------------------------------
-
-class TestRetry:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        assert list(RetryPolicy(max_attempts=3).attempts()) == [1, 2, 3]
-
-    def test_success_after_failures(self):
-        calls = []
-
-        def fn(attempt):
-            calls.append(attempt)
-            if attempt < 3:
-                raise RuntimeError("flaky")
-            return "ok"
-
-        result, used = run_with_retry(fn, policy=RetryPolicy(max_attempts=4))
-        assert result == "ok" and used == 3
-        assert calls == [1, 2, 3]
-
-    def test_exhaustion_raises_last_error(self):
-        with pytest.raises(RuntimeError, match="always"):
-            run_with_retry(lambda a: (_ for _ in ()).throw(
-                RuntimeError("always")), policy=RetryPolicy(max_attempts=2))
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def fn(attempt):
-            calls.append(attempt)
-            raise KeyError("nope")
-
-        with pytest.raises(KeyError):
-            run_with_retry(fn, policy=RetryPolicy(max_attempts=5))
-        assert calls == [1]
-
-    def test_on_retry_hook(self):
-        seen = []
-
-        def fn(attempt):
-            if attempt == 1:
-                raise RuntimeError("once")
-            return attempt
-
-        run_with_retry(fn, policy=RetryPolicy(max_attempts=2),
-                       on_retry=lambda a, e: seen.append((a, str(e))))
-        assert seen == [(1, "once")]
 
 
 # ---------------------------------------------------------------------------

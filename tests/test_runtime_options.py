@@ -31,6 +31,10 @@ def _cfg():
     return PDSLinConfig(k=4, seed=0)
 
 
+#: Runtime fields deleted for want of a benefit (README migration notes).
+REMOVED_RUNTIME_FIELDS = ("retry_policy", "checkpoint_policy", "speculation")
+
+
 class TestRuntimeOptions:
     def test_runtime_keyword_emits_no_warning(self, system):
         A, b = system
@@ -40,19 +44,22 @@ class TestRuntimeOptions:
                             runtime=RuntimeOptions(tracer=Tracer()))
             assert solver.solve(b).converged
 
-    @pytest.mark.parametrize("name", RuntimeOptions.field_names())
+    @pytest.mark.parametrize("name", RuntimeOptions.field_names()
+                             + REMOVED_RUNTIME_FIELDS)
     def test_legacy_kwarg_is_a_type_error(self, system, name):
-        # the PR 10 per-knob keyword shims are gone: runtime= is the
-        # only way in
+        # the per-knob keyword shims are gone: runtime= is the only way
+        # in; the deleted runtime fields are refused everywhere
         A, _ = system
         with pytest.raises(TypeError, match=name):
             PDSLin(A, _cfg(), **{name: None})
+        if name in REMOVED_RUNTIME_FIELDS:
+            with pytest.raises(TypeError, match=name):
+                RuntimeOptions(**{name: None})
 
     def test_every_legacy_kwarg_is_a_runtime_field(self):
         assert set(RuntimeOptions.field_names()) == {
-            "tracer", "backend", "verify", "fault_plan", "retry_policy",
-            "checkpoint", "checkpoint_policy", "resume",
-            "task_deadline_s", "speculation"}
+            "tracer", "backend", "verify", "fault_plan", "checkpoint",
+            "resume", "task_deadline_s"}
 
     def test_runtime_options_are_reusable(self, system):
         A, b = system
@@ -63,9 +70,11 @@ class TestRuntimeOptions:
 
     def test_invalid_deadline_still_rejected(self, system):
         A, _ = system
-        with pytest.raises(ValueError, match="task_deadline_s"):
-            PDSLin(A, _cfg(),
-                   runtime=RuntimeOptions(task_deadline_s=-1.0))
+        for deadline in (-1.0, 0.0, float("nan"), float("inf"),
+                         -float("inf")):
+            with pytest.raises(ValueError, match="task_deadline_s"):
+                PDSLin(A, _cfg(),
+                       runtime=RuntimeOptions(task_deadline_s=deadline))
 
 
 class TestBlockResult:

@@ -161,8 +161,9 @@ class TestSubmitAndBatch:
             svc.submit(hot, np.ones((4, 2)))
         with pytest.raises(ValueError, match="length"):
             svc.submit(hot, np.ones(3))
-        with pytest.raises(ValueError, match="deadline_s"):
-            svc.submit(hot, _rhs(hot), deadline_s=0.0)
+        for deadline in (0.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="deadline_s"):
+                svc.submit(hot, _rhs(hot), deadline_s=deadline)
 
 
 class TestBackpressureAndDeadlines:

@@ -541,9 +541,9 @@ def solve_rows(name: str) -> list[list[str]]:
 # Every scenario below runs the tiny ``matrix211`` problem (k=4, ~0.15 s
 # a run) under one fault and records four rows: the ordered event log
 # ``(stage, action, subdomain, attempt, detail)`` with ``degraded`` and
-# ``preconditioner_mode``; the tracer counters (``noise:`` and
-# ``speculation_*`` are wall-time dependent and left out); the span-name
-# multiset; the answer bytes (or the exception type).
+# ``preconditioner_mode``; the tracer counters (``noise:`` ones are
+# wall-time dependent and left out); the span-name multiset; the answer
+# bytes (or the exception type).
 #
 # Race-free by construction: a crash drill runs on ONE pool worker (the
 # tasks before the victim complete, the victim and everything behind it
@@ -600,7 +600,7 @@ class _Ladder:
                   for e in rep.events]
         counters = sorted(
             (k, v) for k, v in tr.counters.items()
-            if not k.startswith(("noise:", "speculation_")))
+            if not k.startswith("noise:"))
         spans = sorted(Counter(s.name for s in tr.spans).items())
         for part, value in (
                 ("events", (events, rep.degraded, rep.preconditioner_mode)),
