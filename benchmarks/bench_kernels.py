@@ -33,7 +33,6 @@ from repro.ordering import (
     elimination_tree,
     minimum_degree,
     postorder,
-    reverse_cuthill_mckee,
 )
 from repro.solver import PDSLin, PDSLinConfig
 from repro.sparse import symmetrized
@@ -120,11 +119,6 @@ def test_kernel_minimum_degree_schur(benchmark, cavity_setup):
 
 def test_kernel_minimum_degree(benchmark, cavity):
     benchmark.pedantic(minimum_degree, args=(cavity.A,), rounds=3,
-                       iterations=1)
-
-
-def test_kernel_rcm(benchmark, cavity):
-    benchmark.pedantic(reverse_cuthill_mckee, args=(cavity.A,), rounds=3,
                        iterations=1)
 
 

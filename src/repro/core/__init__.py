@@ -8,7 +8,6 @@ from repro.core.dbbd import (
     SubdomainStats,
     build_dbbd,
 )
-from repro.core.refine import trim_separator
 from repro.core.rhb import RHBResult, rhb_partition
 from repro.core.rhs_reorder import (
     HypergraphOrderResult,
@@ -27,7 +26,6 @@ __all__ = [
     "SEPARATOR",
     "WeightScheme", "compute_vertex_weights", "VALID_SCHEMES",
     "RHBResult", "rhb_partition",
-    "trim_separator",
     "natural_column_order", "postorder_column_order",
     "hypergraph_column_order", "HypergraphOrderResult",
 ]

@@ -15,9 +15,8 @@ from repro.core.dbbd import DBBDPartition, PartitionQuality
 from repro.graphs import nested_dissection_partition
 from repro.lu import SupernodalLower, factorize, solution_pattern
 from repro.matrices import GeneratedMatrix
-from repro.ordering import elimination_tree, minimum_degree, postorder
 from repro.solver.interfaces import SubdomainInterfaces, extract_interfaces
-from repro.sparse import symmetrized
+from repro.solver.partasks import order_subdomain
 from repro.utils import SeedLike
 
 __all__ = [
@@ -89,10 +88,7 @@ def prepare_triangular_study(gm: GeneratedMatrix, *, k: int = 8,
     out: list[SubdomainTriangular] = []
     for ell in range(k):
         sub = extract_interfaces(dbbd, ell)
-        md = minimum_degree(sub.D)
-        Dm = sub.D[md][:, md].tocsr()
-        po = postorder(elimination_tree(symmetrized(Dm)))
-        perm = md[po]
+        perm = order_subdomain(sub.D)
         Dp = sub.D[perm][:, perm].tocsc()
         f = factorize(Dp, diag_pivot_thresh=diag_pivot_thresh)
         Ep = f.permute_rows(sub.E_hat[perm].tocsr())

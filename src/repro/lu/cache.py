@@ -28,11 +28,11 @@ __all__ = ["pattern_fingerprint", "SymbolicCache"]
 
 
 def pattern_fingerprint(A: sp.spmatrix, *tags: Any) -> str:
-    """Digest of the sparsity structure of ``A`` plus config ``tags``.
+    """Digest of the sparsity structure of ``A`` plus ``tags``.
 
     Hashes shape + CSR ``indptr``/``indices`` (values excluded on
     purpose); extra ``tags`` distinguish analyses that share a pattern
-    but differ in configuration (ordering method, seed, ...).
+    but differ in what is computed from it (``"order"``, ``"schur-md"``).
     """
     A = A.tocsr()
     h = hashlib.blake2b(digest_size=16)

@@ -11,19 +11,10 @@ from repro.ordering.etree import (
     tree_level,
 )
 from repro.ordering.mindeg import minimum_degree, permute_symmetric
-from repro.ordering.nd_order import nested_dissection_ordering
-from repro.ordering.rcm import (
-    bandwidth,
-    envelope_size,
-    pseudo_peripheral_vertex,
-    reverse_cuthill_mckee,
-)
 
 __all__ = [
     "elimination_tree", "postorder", "is_postordered", "children_lists",
     "tree_level", "first_descendants", "etree_path_closure",
     "symbolic_cholesky_row_counts",
-    "minimum_degree", "permute_symmetric", "nested_dissection_ordering",
-    "reverse_cuthill_mckee", "pseudo_peripheral_vertex", "bandwidth",
-    "envelope_size",
+    "minimum_degree", "permute_symmetric",
 ]

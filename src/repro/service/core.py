@@ -107,7 +107,7 @@ class SolverService:
       SuperLU handles released.
     - ``batch_window_s`` — how long dispatch lingers after the first
       pending request to coalesce same-session traffic
-      (``REPRO_SERVICE_BATCH_WINDOW_S``, default 5 ms).
+      (``REPRO_SERVICE_BATCH_WINDOW_S``, default 5 ms; finite, >= 0).
     - ``max_pending`` — queue-depth backpressure limit
       (``REPRO_SERVICE_MAX_PENDING``, default 256); submits past it
       raise :class:`ServiceOverloadedError`.
@@ -144,6 +144,9 @@ class SolverService:
             raise ValueError("max_pending must be >= 1")
         if max_cold_sessions < 1:
             raise ValueError("max_cold_sessions must be >= 1")
+        if not 0.0 <= float(batch_window_s) < np.inf:
+            raise ValueError("batch_window_s must be finite and >= 0, got "
+                             f"{batch_window_s!r}")
         self.batch_window_s = float(batch_window_s)
         self.max_pending = int(max_pending)
         self.max_cold_sessions = int(max_cold_sessions)

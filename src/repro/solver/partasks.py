@@ -97,6 +97,9 @@ ENV_STRAGGLE_S = "REPRO_CHAOS_STRAGGLE_S"
 #: First-rung pivot threshold of every subdomain LU: 0.0 is the paper's
 #: diagonal-pivoting mode, which keeps the fill-reducing ordering.
 SUBDOMAIN_PIVOT_THRESH = 0.0
+#: Row density at or above which the hypergraph RHS ordering sets a row
+#: of ``G~`` aside as quasi-dense (paper Section V-B(c)).
+QUASI_DENSE_TAU = 0.4
 
 
 def _env_subdomain(name: str) -> Optional[int]:
@@ -129,19 +132,11 @@ def validate_chaos_env() -> None:
     transport_checksum_enabled()
 
 
-def order_subdomain(D: sp.csr_matrix, *, method: str = "md",
-                    seed=0) -> np.ndarray:
-    """Fill-reducing ordering followed by e-tree postorder (the paper's
-    setting is minimum degree; 'nd'/'rcm' are ablations). A pure
-    function of the pattern (+ method/seed), hence cacheable."""
-    if method == "nd":
-        from repro.ordering import nested_dissection_ordering
-        base = nested_dissection_ordering(D, seed=seed)
-    elif method == "rcm":
-        from repro.ordering import reverse_cuthill_mckee
-        base = reverse_cuthill_mckee(D)
-    else:
-        base = minimum_degree(D)
+def order_subdomain(D: sp.csr_matrix) -> np.ndarray:
+    """Minimum-degree ordering followed by e-tree postorder (the
+    paper's setting, Section V-B). A pure function of the pattern,
+    hence cacheable."""
+    base = minimum_degree(D)
     Dm = D[base][:, base].tocsr()
     parent = elimination_tree(symmetrized(Dm))
     po = postorder(parent)
@@ -235,8 +230,7 @@ def run_subdomain_lu(sub: SubdomainInterfaces, cfg, *, ell: int,
     with tracer.span("factor_subdomain", l=ell):
         verifier.after_interfaces(sub, separator_size)
         if perm is None:
-            perm = order_subdomain(sub.D, method=cfg.subdomain_ordering,
-                                   seed=cfg.seed)
+            perm = order_subdomain(sub.D)
         Dp = sub.permuted_D(perm)
         # the pivoting ladder: threshold -> full -> static perturbation
         # (records its own recovery events on `report`)
@@ -328,7 +322,7 @@ def _column_order(cfg, E_rows_factored: sp.csr_matrix,
     if cfg.rhs_ordering == "postorder":
         return postorder_column_order(E_rows_factored)
     res = hypergraph_column_order(G_pattern, cfg.block_size,
-                                  tau=cfg.quasi_dense_tau, seed=cfg.seed,
+                                  tau=QUASI_DENSE_TAU, seed=cfg.seed,
                                   tracer=tracer)
     return res.order
 

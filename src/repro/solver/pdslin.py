@@ -117,6 +117,9 @@ RHS_ORDERINGS = ("natural", "postorder", "hypergraph")
 #: Tries of a stage hit by a transient injected fault (first included)
 #: before a subdomain's work fails over to the root.
 FAULT_ATTEMPTS = 3
+#: Condition estimate (of a subdomain ``D_l`` or of ``S~``) above which
+#: the drop tolerances auto-tighten and ``S~`` is rebuilt undropped.
+COND_THRESHOLD = 1e10
 
 
 @dataclass
@@ -132,23 +135,18 @@ class PDSLinConfig:
     drop_schur: float = 1e-10           # S~ threshold (relative, global)
     block_size: int = 60                # paper's default B
     rhs_ordering: str = "postorder"
-    quasi_dense_tau: Optional[float] = 0.4
     gmres_tol: float = 1e-10
     gmres_restart: int = 100
     gmres_maxiter: int = 1000
     seed: SeedLike = 0
     partition_trials: int = 2
-    trim_separator: bool = False        # post-hoc separator trimming pass
-    subdomain_ordering: str = "md"      # "md" | "nd" | "rcm"
     # -- numerical robustness layer (repro.numerics) --
     numerics: bool = True               # master switch; False restores the
     #                                     pre-numerics pipeline exactly
     equilibrate: bool = True            # Ruiz row/col scaling before DBBD
     static_pivot_matching: bool = True  # MC64-style max-product row matching
     condest: bool = True                # Hager-Higham cond_1 per D_l and S~
-    cond_threshold: float = 1e10        # above this, drop tols auto-tighten
     refine_maxiter: int = 4             # post-solve iterative refinement
-    refine_tol: float = 1e-14           # target componentwise backward error
     certify_tol: float = 1e-12          # berr needed for certified=True
     # -- silent-data-corruption defense (repro.resilience.abft) --
     abft: str = "detect"                # "off" | "detect" | "detect+recover"
@@ -177,30 +175,20 @@ class PDSLinConfig:
         for name in ("block_size", "gmres_restart", "gmres_maxiter",
                      "partition_trials"):
             setattr(self, name, positive_int(getattr(self, name), name))
-        if not (0.0 < self.gmres_tol < np.inf):
-            raise ValueError("gmres_tol must be positive and finite, got "
-                             f"{self.gmres_tol!r}")
-        if self.quasi_dense_tau is not None and \
-                not (0.0 < self.quasi_dense_tau <= 1.0):
-            raise ValueError("quasi_dense_tau must be None or in (0, 1], "
-                             f"got {self.quasi_dense_tau!r}")
+        for name in ("gmres_tol", "certify_tol"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.rhs_ordering not in RHS_ORDERINGS:
             raise ValueError(f"rhs_ordering must be one of {RHS_ORDERINGS}")
-        if self.subdomain_ordering not in ("md", "nd", "rcm"):
-            raise ValueError("subdomain_ordering must be 'md', 'nd' or "
-                             f"'rcm', got {self.subdomain_ordering!r}")
         if not self.numerics:
             # one switch turns the whole robustness layer off
             self.equilibrate = False
             self.static_pivot_matching = False
             self.condest = False
             self.refine_maxiter = 0
-        if self.cond_threshold < 1.0:
-            raise ValueError("cond_threshold must be >= 1")
         if self.refine_maxiter < 0:
             raise ValueError("refine_maxiter must be >= 0")
-        if self.refine_tol <= 0.0 or self.certify_tol <= 0.0:
-            raise ValueError("refine_tol and certify_tol must be positive")
         abft.check_abft_mode(self.abft)
 
 
@@ -727,9 +715,6 @@ class PDSLin:
                         self.A, cfg.k, epsilon=cfg.epsilon, seed=cfg.seed,
                         n_trials=cfg.partition_trials, verify=self.verifier)
                     part = r.part
-                if cfg.trim_separator:
-                    from repro.core.refine import trim_separator
-                    part = trim_separator(self.A, part, cfg.k)
                 self.partition = build_dbbd(self.A, part, cfg.k)
                 self.verifier.after_partition(self.A, self.partition)
                 self.tracer.count("separator_size",
@@ -904,10 +889,10 @@ class PDSLin:
 
     def _tighten_drops(self, cond: float) -> None:
         """Condition-driven auto-tightening: scale the interface/Schur
-        drop tolerances down by ``cond / cond_threshold`` (capped) so
+        drop tolerances down by ``cond / COND_THRESHOLD`` (capped) so
         ill-conditioned blocks are approximated less aggressively."""
         cfg = self.config
-        factor = min(cond / cfg.cond_threshold, 1e6)
+        factor = min(cond / COND_THRESHOLD, 1e6)
         new_i = cfg.drop_interface / factor
         new_s = cfg.drop_schur / factor
         if new_i < self._drop_interface_eff or new_s < self._drop_schur_eff:
@@ -1005,14 +990,10 @@ class PDSLin:
         return value
 
     def _cached_order(self, D: sp.csr_matrix) -> np.ndarray:
-        """Subdomain fill-reducing ordering (MD/ND/RCM + e-tree
-        postorder), memoized on the sparsity pattern."""
-        cfg = self.config
-        key = pattern_fingerprint(D, "order", cfg.subdomain_ordering,
-                                  cfg.seed)
-        return self._cached_analysis(
-            key, lambda: order_subdomain(D, method=cfg.subdomain_ordering,
-                                         seed=cfg.seed))
+        """Subdomain fill-reducing ordering (MD + e-tree postorder),
+        memoized on the sparsity pattern."""
+        return self._cached_analysis(pattern_fingerprint(D, "order"),
+                                     lambda: order_subdomain(D))
 
     def _note_subdomain_cond(self, ell: int, cond: float | None) -> None:
         """Book a subdomain condition estimate and auto-tighten the
@@ -1021,7 +1002,7 @@ class PDSLin:
         if not cfg.condest or cond is None:
             return
         self.cond_estimates["subdomains"][ell] = cond
-        if np.isfinite(cond) and cond > cfg.cond_threshold:
+        if np.isfinite(cond) and cond > COND_THRESHOLD:
             self._tighten_drops(cond)
 
     @staticmethod
@@ -1378,7 +1359,7 @@ class PDSLin:
         # reassemble keeping every entry before GMRES ever runs
         cond_s = self.cond_estimates.get("schur")
         if (cfg.condest and cond_s is not None and np.isfinite(cond_s)
-                and cond_s > cfg.cond_threshold
+                and cond_s > COND_THRESHOLD
                 and self._schur_drop_used > 0.0):
             self.tracer.count("schur_cond_rebuilds")
             self._on_stage("LU(S)", self._rebuild_schur_undropped)
@@ -1856,7 +1837,7 @@ class PDSLin:
             with self.tracer.span(refine_span, nrhs=B.shape[1]):
                 X, accs = refine_block(
                     self.A_input, B, X, self._correction_solve_block,
-                    tol=cfg.refine_tol, certify_tol=cfg.certify_tol,
+                    certify_tol=cfg.certify_tol,
                     maxiter=cfg.refine_maxiter,
                     cond_est=self._cond_for_bound(),
                     on_stall=self._on_refine_stall)

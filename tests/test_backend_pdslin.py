@@ -23,7 +23,7 @@ from repro.resilience import (
     TransportChecksumError,
     WorkerCrashError,
 )
-from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions
+from repro.solver import PDSLin, PDSLinConfig, RuntimeOptions, pdslin
 from repro.solver.partasks import ENV_CRASH_SUBDOMAIN, run_subdomain_setup
 
 
@@ -149,17 +149,22 @@ class TestFaultPlanParity:
 
 
 class TestDropToleranceRedo:
+    @pytest.fixture(autouse=True)
+    def every_condition_tightens(self, monkeypatch):
+        # a threshold of 1 makes every subdomain's condition estimate
+        # tighten the interface tolerance; it is read only on the
+        # parent side, so patching it here reaches pooled runs too
+        monkeypatch.setattr(pdslin, "COND_THRESHOLD", 1.0)
+
     def test_speculative_comp_is_redone_at_serial_tolerance(self):
-        # cond_threshold=1 makes every subdomain's condition estimate
-        # tighten the interface tolerance, so the comps dispatched
-        # speculatively at the coarse tolerance must be recomputed
+        # the comps dispatched speculatively at the coarse tolerance
+        # must be recomputed at the tightened one
         A = random_unsymmetric(80, 0.08, seed=5)
-        cfg = dict(cond_threshold=1.0)
-        _, ref = _solve(A, "serial", cfg=_cfg(**cfg))
+        _, ref = _solve(A, "serial")
         tracer = Tracer()
         backend = ProcessBackend(workers=2)
         try:
-            _, par = _solve(A, backend, tracer=tracer, cfg=_cfg(**cfg))
+            _, par = _solve(A, backend, tracer=tracer)
         finally:
             backend.close()
         assert par.x.tobytes() == ref.x.tobytes()
@@ -194,11 +199,10 @@ class TestDropToleranceRedo:
                 return super().map(fn, payloads, **kw)
 
         A = random_unsymmetric(80, 0.08, seed=5)
-        cfg = dict(cond_threshold=1.0)
-        _, ref = _solve(A, "serial", cfg=_cfg(**cfg))
+        _, ref = _solve(A, "serial")
         backend = LosesTheRedoRound(workers=2)
         try:
-            solver, par = _solve(A, backend, cfg=_cfg(**cfg))
+            solver, par = _solve(A, backend)
         finally:
             backend.close()
         assert backend.setup_maps == 2

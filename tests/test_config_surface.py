@@ -60,6 +60,13 @@ class TestEveryOptionHasARow:
         assert not empty, f"rows without a justification: {empty}"
 
 
+def test_option_counts_are_pinned():
+    # a ratchet: adding an option means changing this count and adding
+    # its EXPERIMENTS.md row on purpose, in the same change
+    assert len(_fields(PDSLinConfig)) == 23
+    assert len(_fields(RuntimeOptions)) == 7
+
+
 @pytest.mark.parametrize("field, value", [
     ("metric", "bogus"),
     ("scheme", "bogus"),
@@ -74,9 +81,9 @@ class TestEveryOptionHasARow:
     ("block_size", 2.5),
     ("gmres_tol", 0.0),
     ("gmres_tol", math.inf),
-    ("quasi_dense_tau", -1.0),
-    ("quasi_dense_tau", 0.0),
-    ("quasi_dense_tau", 1.5),
+    ("certify_tol", 0.0),
+    ("certify_tol", math.inf),
+    ("certify_tol", math.nan),
 ])
 def test_malformed_value_rejected_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
@@ -85,10 +92,9 @@ def test_malformed_value_rejected_at_construction(field, value):
 
 def test_boundary_values_accepted():
     cfg = PDSLinConfig(epsilon=0.0, drop_interface=0.0, drop_schur=0.0,
-                       quasi_dense_tau=1.0, partition_trials=1,
-                       block_size=1, gmres_restart=1, gmres_maxiter=1)
-    assert cfg.epsilon == 0.0 and cfg.quasi_dense_tau == 1.0
-    assert PDSLinConfig(quasi_dense_tau=None).quasi_dense_tau is None
+                       partition_trials=1, block_size=1, gmres_restart=1,
+                       gmres_maxiter=1)
+    assert cfg.epsilon == 0.0 and cfg.partition_trials == 1
 
 
 def test_rhb_partition_rejects_unknown_metric():

@@ -1,17 +1,12 @@
-"""Unit tests for minimum-degree and RCM orderings."""
+"""Unit tests for the minimum-degree ordering."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from tests.conftest import grid_laplacian
 
 from repro.ordering import (
-    bandwidth,
-    envelope_size,
     minimum_degree,
     permute_symmetric,
-    pseudo_peripheral_vertex,
-    reverse_cuthill_mckee,
     symbolic_cholesky_row_counts,
 )
 
@@ -65,115 +60,3 @@ class TestMinimumDegree:
     def test_unsymmetric_handled(self, unsym50):
         order = minimum_degree(unsym50)
         assert sorted(order.tolist()) == list(range(50))
-
-
-class TestRCM:
-    def test_is_permutation(self, grid8):
-        order = reverse_cuthill_mckee(grid8)
-        assert sorted(order.tolist()) == list(range(grid8.shape[0]))
-
-    def test_reduces_bandwidth(self, spd60):
-        order = reverse_cuthill_mckee(spd60)
-        P = permute_symmetric(spd60, order)
-        assert bandwidth(P) <= bandwidth(spd60)
-
-    def test_grid_bandwidth_near_optimal(self):
-        A = grid_laplacian(6, 30)  # long thin grid: optimal bandwidth ~6
-        order = reverse_cuthill_mckee(A)
-        assert bandwidth(permute_symmetric(A, order)) <= 8
-
-    def test_disconnected_graph(self):
-        A = sp.block_diag([grid_laplacian(3, 3), grid_laplacian(2, 2)]).tocsr()
-        order = reverse_cuthill_mckee(A)
-        assert sorted(order.tolist()) == list(range(13))
-
-    def test_deterministic(self, grid8):
-        np.testing.assert_array_equal(reverse_cuthill_mckee(grid8),
-                                      reverse_cuthill_mckee(grid8))
-
-
-class TestPeripheralAndMetrics:
-    def test_path_graph_endpoint(self):
-        A = sp.diags([np.ones(9), 2 * np.ones(10), np.ones(9)],
-                     [-1, 0, 1]).tocsr()
-        v = pseudo_peripheral_vertex(A, start=5)
-        assert v in (0, 9)
-
-    def test_bandwidth_diagonal(self):
-        assert bandwidth(sp.eye(5).tocsr()) == 0
-
-    def test_bandwidth_empty(self):
-        assert bandwidth(sp.csr_matrix((3, 3))) == 0
-
-    def test_envelope_size_tridiagonal(self):
-        A = sp.diags([np.ones(3), np.ones(4), np.ones(3)], [-1, 0, 1]).tocsr()
-        assert envelope_size(A) == 3
-
-    def test_start_out_of_range(self, grid8):
-        with pytest.raises(IndexError):
-            pseudo_peripheral_vertex(grid8, start=1000)
-
-
-class TestEnvelopeReference:
-    """Regression: the reduceat-vectorized envelope_size against a slow
-    per-row reference loop."""
-
-    @staticmethod
-    def _reference(A) -> int:
-        A = A.tocsr()
-        total = 0
-        for i in range(A.shape[0]):
-            cols = [int(j) for j in A.indices[A.indptr[i]:A.indptr[i + 1]]
-                    if j <= i]
-            if cols:
-                total += i - min(cols)
-        return total
-
-    def test_fuzz_vs_reference(self):
-        rng = np.random.default_rng(0)
-        for _trial in range(20):
-            n = int(rng.integers(1, 40))
-            A = sp.random(n, n, density=float(rng.uniform(0.02, 0.4)),
-                          random_state=rng, format="csr")
-            assert envelope_size(A) == self._reference(A)
-
-    def test_strictly_upper_triangular(self):
-        # no row has an entry on or below the diagonal, so every row
-        # falls in the "contributes nothing" branch
-        A = sp.csr_matrix(np.triu(np.ones((5, 5)), k=1))
-        assert envelope_size(A) == 0
-
-    def test_interleaved_empty_rows(self):
-        # rows 0 and 2 empty, row 1 and 3 lower entries: reduceat must
-        # line its segments up with the *nonempty* rows only
-        A = sp.csr_matrix((np.ones(2), ([1, 3], [0, 1])), shape=(4, 4))
-        assert envelope_size(A) == (1 - 0) + (3 - 1)
-        assert envelope_size(A) == self._reference(A)
-
-    def test_empty_matrix(self):
-        assert envelope_size(sp.csr_matrix((4, 4))) == 0
-        assert envelope_size(sp.csr_matrix((0, 0))) == 0
-
-
-class TestRCMDisconnected:
-    def test_isolated_vertices(self):
-        A = sp.block_diag([grid_laplacian(3, 3), sp.csr_matrix((1, 1)),
-                           grid_laplacian(2, 2),
-                           sp.csr_matrix((2, 2))]).tocsr()
-        order = reverse_cuthill_mckee(A)
-        assert sorted(order.tolist()) == list(range(A.shape[0]))
-
-    def test_visited_root_falls_back_to_component_seed(self, monkeypatch):
-        # pseudo_peripheral_vertex walks the symmetrized graph from its
-        # start vertex, so a well-formed run never crosses components;
-        # force it to return a vertex of the already-ordered first
-        # component and check reverse_cuthill_mckee falls back to the
-        # component seed instead of revisiting (or losing) vertices
-        import repro.ordering.rcm as rcm_mod
-
-        A = sp.block_diag([grid_laplacian(3, 3),
-                           grid_laplacian(2, 2)]).tocsr()
-        monkeypatch.setattr(rcm_mod, "pseudo_peripheral_vertex",
-                            lambda M, start=0: 0)
-        order = rcm_mod.reverse_cuthill_mckee(A)
-        assert sorted(order.tolist()) == list(range(A.shape[0]))

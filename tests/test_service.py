@@ -3,6 +3,7 @@ structured rejections, deadlines, revalidation, and shutdown hygiene."""
 
 import multiprocessing
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -232,6 +233,18 @@ class TestUpdateMatrix:
 
 
 class TestLifecycle:
+    @pytest.mark.parametrize("window", [float("inf"), float("nan"), -0.1])
+    def test_bad_batch_window_rejected_at_construction(self, window):
+        # an infinite window used to kill the dispatcher thread and a
+        # NaN one to park it: either way the first submit never answered
+        def dispatchers():
+            return [t for t in threading.enumerate()
+                    if t.name == "repro-service-dispatch"]
+        before = dispatchers()
+        with pytest.raises(ValueError, match="batch_window_s"):
+            SolverService(config=_cfg(), batch_window_s=window)
+        assert dispatchers() == before
+
     def test_close_rejects_pending_and_new(self, hot):
         svc = SolverService(config=_cfg(), batch_window_s=5.0)
         fut = svc.submit(hot, _rhs(hot))

@@ -1,5 +1,4 @@
-"""Tests for the solver's substrate options: subdomain ordering choice
-and the spectral NGD bisector."""
+"""Tests for the spectral NGD bisector."""
 
 import numpy as np
 import pytest
@@ -7,32 +6,6 @@ from tests.conftest import grid_laplacian
 
 from repro.core import build_dbbd
 from repro.graphs import nested_dissection_partition
-from repro.solver import PDSLin, PDSLinConfig
-
-
-class TestSubdomainOrdering:
-    @pytest.mark.parametrize("ordering", ["md", "nd", "rcm"])
-    def test_all_orderings_solve(self, ordering, rng):
-        A = grid_laplacian(12, 12)
-        b = rng.standard_normal(A.shape[0])
-        cfg = PDSLinConfig(k=2, subdomain_ordering=ordering, seed=0)
-        res = PDSLin(A, cfg).solve(b)
-        assert res.residual_norm < 1e-8
-
-    def test_bad_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            PDSLinConfig(subdomain_ordering="colamd")
-
-    def test_orderings_change_fill(self, rng):
-        A = grid_laplacian(16, 16)
-        fills = {}
-        for ordering in ("md", "rcm"):
-            solver = PDSLin(A, PDSLinConfig(k=2, seed=0,
-                                            subdomain_ordering=ordering))
-            solver.setup()
-            fills[ordering] = sum(s.factors.fill_nnz
-                                  for s in solver.subdomains)
-        assert fills["md"] != fills["rcm"]  # genuinely different orders
 
 
 class TestSpectralNGD:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import build_dbbd, rhb_partition, trim_separator
+from repro.core import build_dbbd, rhb_partition
 from repro.graphs import Graph, nested_dissection_partition
 from repro.ordering import elimination_tree
 from repro.sparse import symmetrized
@@ -44,11 +44,6 @@ class TestStoredZeros:
     def test_rhb_partition_validates(self, zeroful_grid):
         r = rhb_partition(zeroful_grid, 2, seed=0)
         build_dbbd(zeroful_grid, r.col_part, 2)
-
-    def test_trim_on_zeroful_matrix(self, zeroful_grid):
-        r = nested_dissection_partition(zeroful_grid, 2, seed=0)
-        out = trim_separator(zeroful_grid, r.part, 2)
-        build_dbbd(zeroful_grid, out, 2)
 
     def test_etree_ignores_zeros(self, zeroful_grid):
         par_zeroful = elimination_tree(symmetrized(zeroful_grid))

@@ -1,29 +1,11 @@
-"""Further behavioural tests: trimming interacts correctly with RHB's
-cut-net separators; the unit-weight RHB cut matches the flat metric
-definitions; and DBBD round-trips through permutation."""
+"""Further behavioural tests: the unit-weight RHB cut matches the flat
+metric definitions, and DBBD round-trips through permutation."""
 
 import numpy as np
-import pytest
 from tests.conftest import grid_laplacian
 
-from repro.core import build_dbbd, rhb_partition, trim_separator
-from repro.core.dbbd import SEPARATOR
+from repro.core import build_dbbd, rhb_partition
 from repro.hypergraph import Hypergraph, net_connectivities
-
-
-class TestTrimWithRHBMetrics:
-    @pytest.mark.parametrize("metric", ["con1", "cnet", "soed"])
-    def test_trim_after_each_metric(self, grid16, metric):
-        r = rhb_partition(grid16, 8, metric=metric, seed=0)
-        trimmed = trim_separator(grid16, r.col_part, 8)
-        assert int((trimmed == SEPARATOR).sum()) <= r.separator_size
-        build_dbbd(grid16, trimmed, 8)
-
-    def test_trim_idempotent(self, grid16):
-        r = rhb_partition(grid16, 4, seed=0)
-        once = trim_separator(grid16, r.col_part, 4)
-        twice = trim_separator(grid16, once, 4)
-        np.testing.assert_array_equal(once, twice)
 
 
 class TestConnectivityDetails:
