@@ -126,8 +126,8 @@ def _subdomain(name: str, description: str) -> EnvVar:
 _VARS = (
     # -- execution backends (repro.parallel.exec) --
     EnvVar("REPRO_BACKEND", "str",
-           "Default execution backend (`serial`, `thread`, `process`, "
-           "optionally `:N`) when `RuntimeOptions(backend=None)`."),
+           "Default execution backend (`serial`, `process`, optionally "
+           "`:N`) when `RuntimeOptions(backend=None)`."),
     EnvVar("REPRO_WORKERS", "int",
            "Worker count for the backend chosen via `REPRO_BACKEND`.",
            minimum=1, noun="a positive integer",

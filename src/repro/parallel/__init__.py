@@ -1,7 +1,7 @@
 """Parallel execution layer: the simulated distributed machine
 (per-process ledgers, stage makespans, balance ratios, the two-level
 core-count projection) and the real execution backends
-(serial/thread/process) that run the per-subdomain work."""
+(serial/process) that run the per-subdomain work."""
 
 from repro.parallel.costmodel import (
     DEFAULT_STAGE_SCALING,
@@ -14,7 +14,6 @@ from repro.parallel.exec import (
     ProcessBackend,
     SerialBackend,
     TaskOutcome,
-    ThreadBackend,
     backend_names,
     get_backend,
     resolve_backend,
@@ -30,7 +29,7 @@ __all__ = [
     "ProcessLedger", "SimulatedMachine", "RECOVER_STAGE",
     "StageScaling", "TwoLevelModel", "DEFAULT_STAGE_SCALING",
     "record_model_skew",
-    "Executor", "SerialBackend", "ThreadBackend", "ProcessBackend",
+    "Executor", "SerialBackend", "ProcessBackend",
     "TaskOutcome", "resolve_backend", "get_backend", "backend_names",
     "export_chrome_trace", "machine_events", "STAGE_ORDER",
 ]

@@ -4,19 +4,16 @@ The paper's solver is *hierarchically parallel*: the per-subdomain
 stages (LU(D), the interface triangular solves and the local Schur
 updates of Comp(S)) are embarrassingly parallel across the DBBD
 diagonal blocks. :class:`SimulatedMachine` models that parallelism for
-the paper's accounting; this module *executes* it. Three backends sit
-behind one :class:`Executor` interface:
+the paper's accounting; this module *executes* it. Two backends sit
+behind one :class:`Executor` interface and one ``Executor.map``:
 
 - :class:`SerialBackend` — runs every task inline (the default; the
-  reference semantics every other backend must reproduce bit-for-bit);
-- :class:`ThreadBackend` — ``concurrent.futures.ThreadPoolExecutor``.
-  No pickling, shared address space; wins only where the work releases
-  the GIL (SuperLU factorization, BLAS-heavy blocked solves on large
-  subdomains);
+  reference semantics the process backend must reproduce bit-for-bit);
 - :class:`ProcessBackend` — ``ProcessPoolExecutor`` with pickled CSR
-  block shipping. True multi-core execution; task payloads and results
-  cross process boundaries, so task functions must be module-level and
-  their arguments picklable.
+  block shipping, one address space per worker as in the paper's one
+  MPI process per subdomain. Task payloads and results cross process
+  boundaries, so task functions must be module-level and their
+  arguments picklable.
 
 Determinism contract: ``map`` always returns outcomes in *submission
 order* regardless of completion order, so callers can reduce in a fixed
@@ -33,12 +30,13 @@ pending tasks, terminates worker processes and re-raises — no orphans.
 Deadlines and stragglers: ``map`` takes an optional per-batch
 ``deadline_s`` — tasks still outstanding when it expires come back as
 ``TaskOutcome.timed_out`` with a :class:`TaskDeadlineError`, their
-futures cancelled and (on the process backend) their workers killed so
-nothing is orphaned. The caller redoes timed-out work on the root, so
-the answer never depends on which tasks beat the deadline.
+futures cancelled and their workers killed so nothing is orphaned. The
+caller redoes timed-out work on the root, so the answer never depends
+on which tasks beat the deadline. The serial backend runs each task
+to completion as it is submitted, so nothing is ever outstanding.
 
 Selection: ``RuntimeOptions(backend=...)`` takes an :class:`Executor`, a spec
-string (``"serial"``, ``"thread"``, ``"process"``, ``"process:4"``) or
+string (``"serial"``, ``"process"``, ``"process:4"``) or
 ``None`` to consult the ``REPRO_BACKEND`` environment variable (worker
 count from ``REPRO_WORKERS``; ``REPRO_MP_START`` overrides the
 multiprocessing start method). Environment values are validated up
@@ -56,7 +54,6 @@ import time
 from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -72,7 +69,7 @@ from repro.resilience.errors import (
 
 __all__ = [
     "TaskOutcome", "Executor", "SerialBackend",
-    "ThreadBackend", "ProcessBackend", "resolve_backend", "get_backend",
+    "ProcessBackend", "resolve_backend", "get_backend",
     "backend_names", "in_worker", "transport_checksum_enabled",
     "ENV_BACKEND", "ENV_WORKERS", "ENV_MP_START", "ENV_IN_WORKER",
     "ENV_TRANSPORT_CHECKSUM",
@@ -87,7 +84,7 @@ ENV_MP_START = "REPRO_MP_START"
 ENV_TRANSPORT_CHECKSUM = "REPRO_TRANSPORT_CHECKSUM"
 #: Set to "1" in the environment of ProcessBackend workers (and only
 #: there): chaos hooks that hard-kill a "worker" must never fire in the
-#: parent process, where serial and thread backends run tasks.
+#: parent process, where the serial backend runs tasks.
 ENV_IN_WORKER = "_REPRO_IN_WORKER"
 
 
@@ -235,22 +232,32 @@ def _transport_seam_armed() -> bool:
 
 class Executor:
     """One ``map`` with ordered results; see the module docstring for
-    the determinism and failure contracts."""
+    the determinism and failure contracts.
+
+    A backend provides ``_ensure()`` (a pool with the
+    ``concurrent.futures`` ``submit``), ``_broken_exc`` (exception types
+    meaning "a worker died") and ``_reap()`` (dispose of a pool whose
+    tasks were abandoned, killing its workers).
+    """
 
     name = "abstract"
     #: True when tasks run in the caller's process and may share state
     #: with it (closures, live SuperLU handles). Parallel callers must
     #: ship self-contained payloads when this is False.
     inline = False
+    _broken_exc: tuple = ()
 
     def __init__(self, workers: int = 1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
 
-    def map(self, fn: Callable, payloads: Sequence[Any], *,
-            deadline_s: float | None = None) -> List[TaskOutcome]:
+    def _ensure(self):
         raise NotImplementedError
+
+    def _reap(self) -> None:
+        """Dispose of the current pool after a crash/timeout so the
+        next ``map`` starts clean and nothing is orphaned."""
 
     def close(self) -> None:
         """Release pool resources (idempotent)."""
@@ -270,64 +277,6 @@ class Executor:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(workers={self.workers})"
-
-
-class SerialBackend(Executor):
-    """Inline execution — the reference semantics.
-
-    ``deadline_s`` is accepted and ignored: inline tasks cannot be
-    preempted, and the serial result is by definition the reference
-    every mitigated run must match.
-    """
-
-    name = "serial"
-    inline = True
-
-    def __init__(self, workers: int = 1):
-        super().__init__(1)
-
-    def map(self, fn: Callable, payloads: Sequence[Any], *,
-            deadline_s: float | None = None) -> List[TaskOutcome]:
-        sealed = self._seal_tasks()
-        verify = transport_checksum_enabled()
-        invoke = _invoke_sealed if sealed else _invoke
-        out = []
-        for i, p in enumerate(payloads):
-            value, error, wall, pid = invoke(fn, p)
-            if error is None:
-                value, error = _unseal(value, verify=verify,
-                                       backend=self.name)
-            if isinstance(error, TransportChecksumError):
-                value, error, wall, pid = _invoke_sealed_clean(fn, p)
-                if error is None:
-                    value, error = _unseal(value, verify=verify,
-                                           backend=self.name)
-                out.append(TaskOutcome(index=i, value=value, error=error,
-                                       wall_s=wall, worker=pid,
-                                       transport_retries=1))
-                continue
-            out.append(TaskOutcome(index=i, value=value, error=error,
-                                   wall_s=wall, worker=pid))
-        return out
-
-
-class _PooledBackend(Executor):
-    """Shared dispatch of the thread and process backends.
-
-    Subclasses provide ``_ensure()`` (a live ``concurrent.futures``
-    pool), ``_broken_exc`` (exception types meaning "a worker died" —
-    empty for threads) and ``_reap()`` (dispose of a pool whose tasks
-    were abandoned, killing workers if the backend has any).
-    """
-
-    _broken_exc: tuple = ()
-
-    def _ensure(self):
-        raise NotImplementedError
-
-    def _reap(self) -> None:
-        """Dispose of the current pool after a crash/timeout so the
-        next ``map`` starts clean and nothing is orphaned."""
 
     def map(self, fn: Callable, payloads: Sequence[Any], *,
             deadline_s: float | None = None) -> List[TaskOutcome]:
@@ -418,36 +367,37 @@ class _PooledBackend(Executor):
             return TaskOutcome(index=index, error=exc), False
 
 
-class ThreadBackend(_PooledBackend):
-    """Thread-pool execution: no pickling, shared address space.
+class _InlinePool:
+    """The serial backend's pool: ``submit`` runs the call before it
+    returns, so a ``KeyboardInterrupt`` propagates at once and a batch
+    deadline finds nothing outstanding."""
 
-    A timed-out task's *thread* cannot be killed — the future is
-    cancelled and the pool replaced, so the stale thread finishes into
-    the void; its result is discarded.
+    @staticmethod
+    def submit(fn: Callable, *args) -> Future:
+        f: Future = Future()
+        try:
+            f.set_result(fn(*args))
+        except Exception as exc:        # noqa: BLE001 - as a worker would
+            f.set_exception(exc)
+        return f
+
+
+class SerialBackend(Executor):
+    """Inline execution — the reference semantics.
+
+    ``deadline_s`` is accepted and ignored: inline tasks cannot be
+    preempted, and the serial result is by definition the reference
+    every mitigated run must match.
     """
 
-    name = "thread"
+    name = "serial"
+    inline = True
 
-    def __init__(self, workers: int = 2):
-        super().__init__(workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
+    def __init__(self, workers: int = 1):
+        super().__init__(1)
 
-    def _ensure(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-exec")
-        return self._pool
-
-    def _reap(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+    def _ensure(self) -> _InlinePool:
+        return _InlinePool()
 
 
 def _default_start_method() -> str:
@@ -463,7 +413,7 @@ def _default_start_method() -> str:
         mp.get_start_method(allow_none=False)
 
 
-class ProcessBackend(_PooledBackend):
+class ProcessBackend(Executor):
     """Process-pool execution with pickled payload shipping.
 
     The pool is created lazily on first ``map`` and rebuilt after a
@@ -500,9 +450,8 @@ class ProcessBackend(_PooledBackend):
         return self._pool
 
     def _reap(self) -> None:
-        self._terminate()
-
-    def _terminate(self) -> None:
+        """Shut the pool down and terminate its workers (SIGTERM, then
+        SIGKILL after ``_join_grace_s``)."""
         pool, self._pool = self._pool, None
         if pool is None:
             return
@@ -531,12 +480,11 @@ class ProcessBackend(_PooledBackend):
             manager.join(timeout=self._join_grace_s)
 
     def close(self) -> None:
-        self._terminate()
+        self._reap()
 
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -601,9 +549,13 @@ def get_backend(name: str, *, workers: int | None = None,
 
 def resolve_backend(spec: "Executor | str | None") -> Executor:
     """The solver-facing resolution ladder: explicit instance > spec
-    string > ``REPRO_BACKEND`` environment variable > serial."""
+    string > ``REPRO_BACKEND`` environment variable > serial. Any other
+    type raises a ``TypeError`` naming ``backend``."""
     if isinstance(spec, Executor):
         return spec
+    if not (spec is None or isinstance(spec, str)):
+        raise TypeError(f"backend must be an Executor, a spec string or "
+                        f"None, not {type(spec).__name__}: {spec!r}")
     if spec is None:
         env = envcfg.get_raw(ENV_BACKEND) or ""
         if env:

@@ -55,7 +55,7 @@ import scipy.sparse as sp
 from repro import envcfg
 from repro.lu.cache import pattern_fingerprint
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.exec import Executor, get_backend
+from repro.parallel.exec import Executor, get_backend, resolve_backend
 from repro.resilience.checkpoint import config_fingerprint
 from repro.service.cache import (
     Session,
@@ -163,7 +163,9 @@ class SolverService:
         elif backend is None:
             self._backend = get_backend("serial")
         else:
-            self._backend = backend
+            # an Executor passes through; anything else is a TypeError
+            # here, not a failed future on every request
+            self._backend = resolve_backend(backend)
 
         self.cache = SessionCache(cache_bytes)
         # queue lock (fast, never held across a solve) vs. execution

@@ -11,7 +11,7 @@ checks. This module is the only place a scenario is defined::
 prints the scenario's JSON record, then one ``PASS``/``FAIL`` line per
 check, and exits 0 iff every check passed (2 on an unknown scenario).
 ``--backend`` replaces the scenario's own execution backend
-(``serial``, ``thread:N``, ``process:N``); ``--metrics`` / ``--trace``
+(``serial``, ``process:N``); ``--metrics`` / ``--trace``
 write the scenario's tracer as ``metrics.json`` / Chrome-trace JSON.
 
 Scenarios (:data:`SCENARIOS`; :func:`run` calls one by name):
@@ -69,7 +69,7 @@ from repro.matrices import (
 )
 from repro.numerics import backward_errors
 from repro.obs import Tracer, export_chrome_trace, stage_metrics, write_metrics
-from repro.parallel.exec import ENV_TRANSPORT_CHECKSUM
+from repro.parallel.exec import ENV_TRANSPORT_CHECKSUM, get_backend
 from repro.resilience import FaultPlan, FaultSpec, abft
 from repro.resilience.checkpoint import (
     ENV_KILL_AFTER,
@@ -332,18 +332,20 @@ def _faults(backend=None) -> SmokeRun:
 
 
 @scenario("stragglers")
-def _stragglers(backend="thread:2") -> SmokeRun:
-    """The smoke solve on a parallel backend with subdomain 1 sleeping
-    0.6 s. A 0.3 s task deadline must time it out and fail it over to
-    the root, honestly degraded (``deadline_fired``,
+def _stragglers(backend="process:2") -> SmokeRun:
+    """The smoke solve on a process pool with subdomain 1 sleeping
+    0.6 s. A 0.3 s task deadline must time it out (killing its worker)
+    and fail it over to the root, honestly degraded (``deadline_fired``,
     ``deadline_degraded``), converge and match the clean serial solve
     byte for byte (``converged``, ``bit_identical``)."""
     p = problem()
     ref = p.solver("serial").solve(p.b)
     tracer = Tracer()
-    with chaos_seams({ENV_STRAGGLE_SUBDOMAIN: "1", ENV_STRAGGLE_S: "0.6"}):
-        res = p.solver(backend, tracer=tracer,
-                       task_deadline_s=0.3).solve(p.b)
+    # a private pool, forked with the seam armed (a warm shared one
+    # would have been forked without it)
+    with chaos_seams({ENV_STRAGGLE_SUBDOMAIN: "1", ENV_STRAGGLE_S: "0.6"}), \
+            get_backend(backend, fresh=True) as pool:
+        res = p.solver(pool, tracer=tracer, task_deadline_s=0.3).solve(p.b)
     actions = {e.action for e in res.recovery.events}
     checks = {
         "converged": bool(res.converged),
@@ -376,13 +378,10 @@ def _bitflip(backend=None,
 
     def leg(mode: str, backend: str, env: dict):
         tracer = Tracer()
-        with chaos_seams(env):
-            solver = p.solver(backend, config=dict(abft=mode), tracer=tracer)
-            try:
-                return solver.solve(p.b), tracer
-            finally:
-                if hasattr(solver.backend, "close"):
-                    solver.backend.close()
+        # a private pool per leg, forked with this leg's seams armed
+        with chaos_seams(env), get_backend(backend, fresh=True) as pool:
+            solver = p.solver(pool, config=dict(abft=mode), tracer=tracer)
+            return solver.solve(p.b), tracer
 
     ref, ref_tracer = leg("detect+recover", "serial", {})
     out = SmokeRun({}, ref_tracer, {})
@@ -643,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
         description="run one smoke scenario; exit 0 iff every check passed")
     ap.add_argument("scenario", choices=sorted(SCENARIOS))
     ap.add_argument("--backend", default=None,
-                    help="execution backend (serial, thread:N, process:N); "
+                    help="execution backend (serial, process:N); "
                          "default: the scenario's own")
     ap.add_argument("--metrics", default=None,
                     help="write the scenario tracer's metrics.json here")

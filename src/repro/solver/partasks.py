@@ -1,12 +1,12 @@
 """Per-subdomain setup tasks, shared by every execution backend.
 
 The numeric bodies of the LU(D) and Comp(S) stages live here as
-module-level functions so that the serial path and the thread/process
-backends of :mod:`repro.parallel.exec` execute *the same code*:
+module-level functions so that the serial path and the process
+backend of :mod:`repro.parallel.exec` execute *the same code*:
 :class:`repro.solver.PDSLin` calls :func:`run_subdomain_lu` /
 :func:`run_subdomain_comp` inline on the serial backend, and ships a
 :class:`SubdomainTask` to :func:`run_subdomain_setup` (the picklable
-worker entry point) on the parallel ones. Same code + fixed-order
+worker entry point) on the process backend. Same code + fixed-order
 reduction in the parent = bit-identical results on every backend.
 
 What crosses the process boundary:
@@ -446,8 +446,8 @@ class BlockSolveTask:
 class BlockSolveResult:
     """Worker return value: the solution block plus the worker-local
     ABFT solve-audit counters for the parent to fold into the factor
-    checksums (shipped explicitly — on the process backend the worker's
-    checksum object is a pickled copy the parent never sees)."""
+    checksums (shipped explicitly — the worker's checksum object is a
+    pickled copy the parent never sees)."""
 
     ell: int
     X: np.ndarray
@@ -505,31 +505,22 @@ def run_block_solve(task: BlockSolveTask) -> BlockSolveResult:
     factors = task.factors
     if factors.handle is None and task.handle_thresh is not None:
         factors.handle = _cached_handle(task)
-    # swap in a fresh audit-counter view sharing the checksum arrays:
-    # on the thread backend `factors.checksums` IS the parent's object,
-    # and the parent folds the shipped counters afterwards — auditing
-    # onto the shared object directly would double-count
-    orig = factors.checksums
-    local = None
-    if orig is not None:
-        local = abft.FactorChecksums(
-            colsum_L=orig.colsum_L, colsum_U=orig.colsum_U,
-            colsum_A=orig.colsum_A, abs_colsum_A=orig.abs_colsum_A,
-            identity_den=orig.identity_den,
-            base_identity_rel=orig.base_identity_rel, armed=orig.armed)
-        factors.checksums = local
+    # the factors are this worker's unpickled copy, but they carry the
+    # counters the parent had folded when it pickled them (the backward
+    # pass ships factors the forward pass already audited): count this
+    # solve's audits alone, for the parent to fold
+    cs = factors.checksums
+    if cs is not None:
+        cs.reset_counters()
     t0 = time.perf_counter()
-    try:
-        X = factors.solve(task.rhs)
-    finally:
-        factors.checksums = orig
+    X = factors.solve(task.rhs)
     wall = time.perf_counter() - t0
     out = BlockSolveResult(ell=task.ell, X=X, wall_s=wall)
-    if local is not None:
-        out.audit_checks = local.checks
-        out.audit_violations = local.violations
-        out.audit_worst_rel = local.worst_rel
-        out.audit_detail = local.last_detail
+    if cs is not None:
+        out.audit_checks = cs.checks
+        out.audit_violations = cs.violations
+        out.audit_worst_rel = cs.worst_rel
+        out.audit_detail = cs.last_detail
     return out
 
 

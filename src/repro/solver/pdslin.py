@@ -399,8 +399,8 @@ class PDSLin:
 
     Execution backends: ``backend`` selects where the per-subdomain
     setup work (LU(D), Comp(S)) and the RHB bisection trials actually
-    run — ``"serial"`` (default), ``"thread"``, or ``"process"`` /
-    ``"process:4"`` (see :mod:`repro.parallel.exec`; ``None`` consults
+    run — ``"serial"`` (default) or ``"process"`` / ``"process:4"``
+    (see :mod:`repro.parallel.exec`; ``None`` consults
     ``REPRO_BACKEND``). Every backend reduces in a fixed order and is
     bit-identical to serial; the :class:`SimulatedMachine` accounting is
     fed from worker-measured wall times, and worker tracer spans merge

@@ -42,8 +42,8 @@ class RuntimeOptions:
     - ``tracer`` — a :class:`repro.obs.Tracer` recording spans/counters
       (None = no-op instrumentation).
     - ``backend`` — an :class:`~repro.parallel.exec.Executor`, a spec
-      string (``"serial"``/``"thread"``/``"process[:N]"``), or None to
-      consult ``REPRO_BACKEND``.
+      string (``"serial"``/``"process[:N]"``), or None to consult
+      ``REPRO_BACKEND``.
     - ``verify`` — ``True`` (or a custom
       :class:`~repro.verify.invariants.Verifier`) arms the post-stage
       invariant checks.

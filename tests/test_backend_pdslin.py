@@ -13,7 +13,6 @@ from repro.obs import Tracer
 from repro.parallel.exec import (
     ProcessBackend,
     TaskOutcome,
-    ThreadBackend,
     get_backend,
 )
 from repro.resilience import (
@@ -56,7 +55,7 @@ class TestBitParity:
         lambda: grid_laplacian(16, 16),
         lambda: random_unsymmetric(80, 0.08, seed=5),
     ], ids=["grid16", "unsym80"])
-    @pytest.mark.parametrize("backend", ["thread:2", "process:2"])
+    @pytest.mark.parametrize("backend", ["process:2"])
     def test_backend_matches_serial_bitwise(self, make, backend):
         A = make()
         _, ref = _solve(A, "serial")
@@ -117,14 +116,13 @@ class TestChaosCrash:
                    for e in res.recovery.events)
 
     def test_crash_seam_is_inert_on_inline_backends(self, monkeypatch):
-        # the seam must never kill the parent process, where serial and
-        # thread backends run the task bodies
+        # the seam must never kill the parent process, where the serial
+        # backend runs the task bodies
         A = grid_laplacian(8, 8)
         monkeypatch.setenv(ENV_CRASH_SUBDOMAIN, "1")
-        for backend in ("serial", "thread:2"):
-            _, res = _solve(A, backend)
-            assert res.converged
-            assert res.recovery.actions().get("failover-root", 0) == 0
+        _, res = _solve(A, "serial")
+        assert res.converged
+        assert res.recovery.actions().get("failover-root", 0) == 0
 
 
 class TestFaultPlanParity:
@@ -187,7 +185,7 @@ class TestDropToleranceRedo:
         # back lost: the same triage as the first round fails each over
         # to the root, says why (a twice-failed transport digest used to
         # be reported as a dead worker here), and the answer is serial's
-        class LosesTheRedoRound(ThreadBackend):
+        class LosesTheRedoRound(ProcessBackend):
             setup_maps = 0
 
             def map(self, fn, payloads, **kw):
@@ -220,17 +218,25 @@ class TestDropToleranceRedo:
 
 class TestBackendSelection:
     def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "2")
         A = grid_laplacian(8, 8)
         solver = PDSLin(A, _cfg())
-        assert isinstance(solver.backend, ThreadBackend)
+        assert isinstance(solver.backend, ProcessBackend)
         assert solver.backend.workers == 2
         assert solver.solve(_rhs(A)).converged
 
     def test_shared_backend_instances_reused_across_solvers(self):
         A = grid_laplacian(8, 8)
-        s1 = PDSLin(A, _cfg(), runtime=RuntimeOptions(backend="thread:2"))
-        s2 = PDSLin(A, _cfg(), runtime=RuntimeOptions(backend="thread:2"))
+        s1 = PDSLin(A, _cfg(), runtime=RuntimeOptions(backend="process:2"))
+        s2 = PDSLin(A, _cfg(), runtime=RuntimeOptions(backend="process:2"))
         assert s1.backend is s2.backend
-        assert s1.backend is get_backend("thread", workers=2)
+        assert s1.backend is get_backend("process", workers=2)
+
+    def test_non_backend_value_is_a_type_error(self):
+        # named at the entry point, not an AttributeError from inside
+        # spec parsing
+        with pytest.raises(TypeError, match="backend must be an Executor, "
+                           "a spec string or None, not int"):
+            PDSLin(grid_laplacian(8, 8), _cfg(),
+                   runtime=RuntimeOptions(backend=123))

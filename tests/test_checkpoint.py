@@ -21,7 +21,6 @@ from tests.conftest import grid_laplacian
 from repro.obs import Tracer
 from repro.parallel.exec import (
     ProcessBackend,
-    ThreadBackend,
     get_backend,
     resolve_backend,
 )
@@ -197,7 +196,7 @@ class TestResumeParity:
         ref = PDSLin(grid16, _cfg()).solve(_rhs(grid16))
         assert res.x.tobytes() == ref.x.tobytes()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread:2", "process:2"])
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
     def test_truncated_resume_bit_identical(self, tmp_path, grid16,
                                             backend):
         b = _rhs(grid16)
@@ -303,23 +302,21 @@ def _sleep_payload(payload):
 
 class TestDeadlines:
     def test_deadline_times_out_stragglers_only(self):
-        for backend_cls in (ThreadBackend, ProcessBackend):
-            before = set(multiprocessing.active_children())
-            backend = backend_cls(workers=2)
-            try:
-                out = backend.map(_sleep_payload, [0.01, 2.0],
-                                  deadline_s=0.5)
-                assert out[0].ok and out[0].value == 0.01
-                assert out[1].timed_out and not out[1].ok
-                assert out[1].value is None
-                # a process deadline kills the straggler's worker:
-                # nothing this backend started outlives the timed-out map
-                assert not set(multiprocessing.active_children()) - before
-                # and the backend serves the next map from a fresh pool
-                again = backend.map(_sleep_payload, [0.01, 0.02])
-                assert [o.value for o in again] == [0.01, 0.02]
-            finally:
-                backend.close()
+        before = set(multiprocessing.active_children())
+        backend = ProcessBackend(workers=2)
+        try:
+            out = backend.map(_sleep_payload, [0.01, 2.0], deadline_s=0.5)
+            assert out[0].ok and out[0].value == 0.01
+            assert out[1].timed_out and not out[1].ok
+            assert out[1].value is None
+            # a deadline kills the straggler's worker: nothing this
+            # backend started outlives the timed-out map
+            assert not set(multiprocessing.active_children()) - before
+            # and the backend serves the next map from a fresh pool
+            again = backend.map(_sleep_payload, [0.01, 0.02])
+            assert [o.value for o in again] == [0.01, 0.02]
+        finally:
+            backend.close()
 
     @pytest.mark.slow
     def test_straggler_smoke_drill(self):
@@ -341,10 +338,10 @@ class TestEnvValidation:
     def test_workers_must_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "abc")
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            get_backend("thread", fresh=True)
+            get_backend("process", fresh=True)
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            get_backend("thread", fresh=True)
+            get_backend("process", fresh=True)
 
     def test_mp_start_must_be_available(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_START", "bogus")

@@ -18,7 +18,6 @@ from repro.parallel.exec import (
     ProcessBackend,
     SerialBackend,
     TaskOutcome,
-    ThreadBackend,
     backend_names,
     get_backend,
     in_worker,
@@ -66,8 +65,16 @@ def _in_worker_flag(_):
     return in_worker()
 
 
-BACKENDS = [SerialBackend(), ThreadBackend(workers=2),
-            ProcessBackend(workers=2)]
+_RAN = []
+
+
+def _interrupt_at_zero(x):
+    if x == 0:
+        raise KeyboardInterrupt
+    _RAN.append(x)
+
+
+BACKENDS = [SerialBackend(), ProcessBackend(workers=2)]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -86,7 +93,7 @@ class TestMapContract:
         assert all(o.ok for o in out)
 
     def test_order_survives_out_of_order_completion(self):
-        backend = ThreadBackend(workers=4)
+        backend = ProcessBackend(workers=2)
         try:
             # later tasks finish first; results must still come back in
             # submission order
@@ -107,11 +114,23 @@ class TestMapContract:
     def test_worker_flag_only_set_in_process_workers(self):
         assert not in_worker()
         assert SerialBackend().map(_in_worker_flag, [0])[0].value is False
-        backend = BACKENDS[2]
+        backend = BACKENDS[1]
         assert backend.map(_in_worker_flag, [0])[0].value is True
 
+    def test_serial_interrupt_propagates_before_later_tasks_run(self):
+        _RAN.clear()
+        with pytest.raises(KeyboardInterrupt):
+            SerialBackend().map(_interrupt_at_zero, [0, 1, 2])
+        assert _RAN == []
+
+    def test_serial_ignores_the_deadline(self):
+        out = SerialBackend().map(_sleep_then, [(0.05, "a"), (0.0, "b")],
+                                  deadline_s=0.01)
+        assert [o.value for o in out] == ["a", "b"]
+        assert not any(o.timed_out for o in out)
+
     def test_process_backend_uses_other_processes(self):
-        backend = BACKENDS[2]
+        backend = BACKENDS[1]
         pids = {o.value for o in backend.map(_pid, range(4))}
         assert os.getpid() not in pids
 
@@ -237,7 +256,7 @@ class TestErrorPickling:
         assert str(back) == str(err)
 
     def test_round_trip_through_process_backend(self):
-        out = BACKENDS[2].map(_raise_solver_error, [5])
+        out = BACKENDS[1].map(_raise_solver_error, [5])
         err = out[0].error
         assert isinstance(err, SingularSubdomainError)
         assert (err.column, err.pivot, err.stage) == (5, 0.0, "LU(D)")
@@ -245,7 +264,28 @@ class TestErrorPickling:
 
 class TestSelection:
     def test_backend_names(self):
-        assert backend_names() == ("process", "serial", "thread")
+        assert backend_names() == ("process", "serial")
+
+    def test_thread_spec_is_unknown(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"unknown backend 'thread'; "
+                           r"expected one of \('process', 'serial'\)"):
+            get_backend("thread")
+        monkeypatch.setenv(ENV_BACKEND, "thread")
+        with pytest.raises(ValueError, match=r"REPRO_BACKEND: unknown "
+                           r"backend 'thread'; expected one of "
+                           r"\('process', 'serial'\)"):
+            resolve_backend(None)
+
+    @pytest.mark.parametrize("spec", [123, 2.0, ["serial"], ProcessBackend],
+                             ids=["int", "float", "list", "class"])
+    def test_non_backend_spec_is_a_type_error(self, spec):
+        with pytest.raises(TypeError, match="backend must be an Executor, "
+                           "a spec string or None"):
+            resolve_backend(spec)
+
+    def test_map_is_written_once(self):
+        assert "map" not in vars(SerialBackend)
+        assert "map" not in vars(ProcessBackend)
 
     def test_spec_with_worker_count(self):
         b = get_backend("process:3", fresh=True)
@@ -259,10 +299,10 @@ class TestSelection:
             get_backend("mpi")
 
     def test_shared_instances_are_cached(self):
-        assert get_backend("thread", workers=2) is \
-            get_backend("thread", workers=2)
-        assert get_backend("thread", workers=2) is not \
-            get_backend("thread", workers=3)
+        assert get_backend("process", workers=2) is \
+            get_backend("process", workers=2)
+        assert get_backend("process", workers=2) is not \
+            get_backend("process", workers=3)
 
     def test_fresh_instance_is_private(self):
         b = get_backend("serial", fresh=True)
@@ -274,19 +314,19 @@ class TestSelection:
 
     def test_resolve_spec_string(self):
         assert resolve_backend("serial").name == "serial"
-        assert resolve_backend("thread:2").workers == 2
+        assert resolve_backend("process:2").workers == 2
 
     def test_resolve_env_default(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
         assert resolve_backend(None).name == "serial"
-        monkeypatch.setenv(ENV_BACKEND, "thread")
+        monkeypatch.setenv(ENV_BACKEND, "process")
         monkeypatch.setenv(ENV_WORKERS, "2")
         b = resolve_backend(None)
-        assert b.name == "thread" and b.workers == 2
+        assert b.name == "process" and b.workers == 2
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            ThreadBackend(workers=0)
+            ProcessBackend(workers=0)
 
     def test_serial_backend_is_inline_singleton_width(self):
         b = SerialBackend(workers=8)

@@ -279,7 +279,7 @@ class TestLifecycle:
 
     def test_caller_owned_backend_not_closed(self, hot):
         from repro.parallel.exec import get_backend
-        backend = get_backend("thread:2", fresh=True)
+        backend = get_backend("process:2", fresh=True)
         try:
             svc = SolverService(config=_cfg(), backend=backend,
                                 batch_window_s=0.01)
@@ -289,6 +289,12 @@ class TestLifecycle:
             assert backend.map(len, [[1, 2]]) is not None
         finally:
             backend.close()
+
+    def test_non_backend_rejected_before_the_dispatcher_starts(self):
+        before = threading.active_count()
+        with pytest.raises(TypeError, match="backend must be an Executor"):
+            SolverService(config=_cfg(), backend=123)
+        assert threading.active_count() == before
 
 
 class TestDispatcherHardening:

@@ -233,7 +233,7 @@ class TestInvalidation:
 
 
 class TestScalarBlockParity:
-    @pytest.mark.parametrize("backend", ["serial", "thread:2", "process:2"])
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
     @pytest.mark.parametrize("make", [
         lambda: grid_laplacian(16, 16),
         lambda: random_unsymmetric(80, 0.08, seed=5),

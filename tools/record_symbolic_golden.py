@@ -704,7 +704,7 @@ def ladder_corrupt_rows() -> list[list[str]]:
 def ladder_fault_rows() -> list[list[str]]:
     """Injected stage faults: every (stage, process) of the pipeline x
     transient / retries-exhausted / permanent, on the inline ladder
-    (serial) and the pre-played one (thread:2). ``solve(b)`` then
+    (serial) and the pre-played one (process:2). ``solve(b)`` then
     ``solve_block(B)`` on the same solver, one observation each."""
     lad = _Ladder("faults")
     sites = (("Partition", None), ("LU(D)", 1), ("Comp(S)", 2),
@@ -715,7 +715,7 @@ def ladder_fault_rows() -> list[list[str]]:
              "permanent": dict(kind="permanent")}
     for stage, proc in sites:
         for kname, spec in kinds.items():
-            for backend in ("serial", "thread:2"):
+            for backend in ("serial", "process:2"):
                 plan = FaultPlan([FaultSpec(stage=stage, process=proc,
                                             **spec)], seed=0)
                 where = "root" if proc is None else f"p{proc}"
